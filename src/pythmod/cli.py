@@ -99,7 +99,6 @@ def cmd_count(args, t0: float) -> int:
         weight=gaussian(args.phi_scale),
         cutoff=args.cutoff,
         method=args.method,
-        threads=args.threads,
     )
     report = count_smoothed(cfg)
     if args.exact:
@@ -130,7 +129,6 @@ def cmd_scan(args, t0: float) -> int:
                 weight=gaussian(args.phi_scale),
                 cutoff=args.cutoff,
                 method=args.method,
-                threads=args.threads,
             )
             rep = count_smoothed(cfg)
             rows.append(
@@ -290,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="box truncation at |x| <= cutoff*N; tail below 1e-12")
     sp.add_argument("--method", choices=["sqrt-bucket", "triple-loop"],
                     default="sqrt-bucket", help="counting kernel")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="parallel workers; results independent of the count")
     sp.add_argument("--exact", action="store_true",
                     help="also report the exact sharp-box count at floor(N)")
     add_common(sp)
@@ -310,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=float, default=3.5, help="box truncation multiplier")
     sp.add_argument("--method", choices=["sqrt-bucket", "triple-loop"],
                     default="sqrt-bucket", help="counting kernel")
-    sp.add_argument("--threads", type=int, default=None, help="parallel workers")
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 

@@ -1,23 +1,20 @@
 """Counting solutions of x1^2 + x2^2 = x3^2 mod p^n in boxes.
 
-Two routes for the smoothed count: a direct triple loop, and a
-sqrt-bucket kernel that tabulates the square roots of every residue
-mod q once and reduces the work to a double loop over (x1, x2) with a
-table lookup, O((cutoff*N)^2 + q) instead of O((cutoff*N)^3).  An exact
-integer path counts the sharp box, and the dual side counts ordinary
-Pythagorean triples through the sum-of-two-squares function r2.
-predict_dual_terms evaluates the smoothed count a third way, as an exact
-Poisson expansion over closed-form Gauss sums, and splits it into the
-main term and the dual terms.
-
-Floating sums use pairwise accumulation over a deterministic chunking
-of the x1 range, so results are bit-identical for any thread count.
+Two routes for the smoothed count: a direct triple loop, the
+independent oracle at O((cutoff*N)^3), and a sqrt-bucket kernel.  The
+kernel buckets the box by square class, S[c] = total weight of the units
+x with x^2 = c mod q, and takes the count T = <S * S, S> with one real
+FFT self-convolution mod q: O(q log q + cutoff*N).  An exact integer
+path counts the sharp box, and the dual side counts ordinary Pythagorean
+triples through the sum-of-two-squares function r2.  predict_dual_terms
+evaluates the smoothed count a third way, as an exact Poisson expansion
+over closed-form Gauss sums, and splits it into the main term and the
+dual terms.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -31,13 +28,12 @@ from .weights import WeightSpec
 
 TRIPLE_LOOP_MAX_CELLS = 10**9
 BUCKET_MAX_Q = 2**26
+BOX_MAX_POINTS = 10**6  # points per axis of a box, 2 * floor(cutoff * N) + 1
 PYTH_MAX_N = 10**7
 DUAL_MAX_L = 10**4
 R2_MAX_M = 10**18
 DUAL_MAX_CELLS = 10**8  # Gauss-sum terms: q * (2K + 1) in predict_dual_terms
 DUAL_TOL = 1e-16  # dual frequencies with fourier(k N / q) below this are dropped
-
-CHUNK_ROWS = 256  # fixed chunking of the x1 range; independent of threads
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,14 @@ class CountConfig:
     weight: WeightSpec
     cutoff: float = 3.5
     method: str = "sqrt-bucket"
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.modulus.p <= 5:
             raise SmallPrime(
                 f"p = {self.modulus.p}: unit solutions require p > 5"
             )
+        if not (math.isfinite(self.N) and math.isfinite(self.cutoff)):
+            raise ValueError(f"N = {self.N} and cutoff = {self.cutoff} must be finite")
         if self.N < 1:
             raise ValueError(f"N = {self.N} must be at least 1")
         if self.method not in ("triple-loop", "sqrt-bucket"):
@@ -216,13 +213,21 @@ def predict_dual_terms(cfg: CountConfig) -> DualTerms:
     return DualTerms(T0, scale * full.real - T0)
 
 
+def _box_radius(extent: float) -> int:
+    """floor(extent), once the box |x| <= extent is known to have at most
+    BOX_MAX_POINTS points per axis; raises TooLarge before any allocation."""
+    C = math.floor(min(extent, BOX_MAX_POINTS))
+    if 2 * C + 1 > BOX_MAX_POINTS:
+        raise TooLarge(
+            f"box |x| <= {extent:.6g} has about {2 * extent + 1:.6g} points "
+            f"per axis, above {BOX_MAX_POINTS}"
+        )
+    return C
+
+
 def _unit_box(p: int, bound: int) -> np.ndarray:
     xs = np.arange(-bound, bound + 1, dtype=np.int64)
     return xs[xs % p != 0]
-
-
-def _chunks(seq: List, size: int) -> List[List]:
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
 def _smoothed_bucket(cfg: CountConfig) -> float:
@@ -230,70 +235,30 @@ def _smoothed_bucket(cfg: CountConfig) -> float:
     q = m.q
     if q > BUCKET_MAX_Q:
         raise TooLarge(f"q = {q} above the bucket-table bound {BUCKET_MAX_Q}")
-    C = int(math.floor(cfg.cutoff * cfg.N))
-    xs = _unit_box(m.p, C)
+    xs = _unit_box(m.p, _box_radius(cfg.cutoff * cfg.N))
     wts = cfg.weight.value(xs / cfg.N)
-    res = xs % q
-
-    # class_mass[rho] = total x3 weight in the box with x3 = rho mod q
-    class_mass = np.zeros(q)
-    np.add.at(class_mass, res, wts)
-    # bucket[c] = total x3 weight with x3^2 = c mod q, x3 a unit
-    rho = np.arange(q, dtype=np.int64)
-    units = rho[rho % m.p != 0]
-    bucket = np.zeros(q)
-    np.add.at(bucket, (units * units) % q, class_mass[units])
-
-    sq = (res * res) % q
-    pos = xs > 0
-    rows = list(zip(xs[pos].tolist(), wts[pos].tolist()))
-
-    def row_sum(row) -> float:
-        x1, w1 = row
-        c = (x1 * x1 % q + sq) % q
-        return w1 * float(np.dot(wts, bucket[c]))
-
-    def chunk_sum(rows_chunk) -> float:
-        return math.fsum(row_sum(r) for r in rows_chunk)
-
-    chunks = _chunks(rows, CHUNK_ROWS)
-    if cfg.threads is not None and cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            partials = list(pool.map(chunk_sum, chunks))
-    else:
-        partials = [chunk_sum(c) for c in chunks]
-    # x1 -> -x1 symmetry: weights are even and x1 = 0 is not a unit
-    return 2.0 * math.fsum(partials)
+    # S[c] = total weight of the box units x with x^2 = c mod q
+    S = np.bincount((xs % q) ** 2 % q, weights=wts, minlength=q)
+    # T = sum over (c1, c2) of S[c1] S[c2] S[c1 + c2 mod q]
+    return float(np.dot(np.fft.irfft(np.fft.rfft(S) ** 2, n=q), S))
 
 
 def _smoothed_triple_loop(cfg: CountConfig) -> float:
     m = cfg.modulus
     q = m.q
-    C = int(math.floor(cfg.cutoff * cfg.N))
+    C = _box_radius(cfg.cutoff * cfg.N)
     if (2 * C + 1) ** 3 > TRIPLE_LOOP_MAX_CELLS:
         raise TooLarge(f"box (2*{C}+1)^3 exceeds {TRIPLE_LOOP_MAX_CELLS} cells")
     xs = _unit_box(m.p, C)
     wts = cfg.weight.value(xs / cfg.N)
     sq = (xs % q) ** 2 % q
 
-    rows = list(zip(xs.tolist(), wts.tolist()))
-
-    def row_sum(row) -> float:
-        x1, w1 = row
+    def row_sum(x1: int, w1: float) -> float:
         lhs = (x1 * x1 % q + sq[:, None] - sq[None, :]) % q  # (x2, x3) grid
         hits = (lhs == 0).astype(float)
         return w1 * float(wts @ hits @ wts)
 
-    def chunk_sum(rows_chunk) -> float:
-        return math.fsum(row_sum(r) for r in rows_chunk)
-
-    chunks = _chunks(rows, CHUNK_ROWS)
-    if cfg.threads is not None and cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            partials = list(pool.map(chunk_sum, chunks))
-    else:
-        partials = [chunk_sum(c) for c in chunks]
-    return math.fsum(partials)
+    return math.fsum(row_sum(x1, w1) for x1, w1 in zip(xs.tolist(), wts.tolist()))
 
 
 def count_smoothed(cfg: CountConfig) -> CountReport:
@@ -326,19 +291,15 @@ def count_box_exact(m: PrimePowerModulus, N: int) -> int:
     """Exact number of unit solutions with max |x_i| <= N (integer path)."""
     if N < 0:
         raise ValueError(f"N = {N} must be nonnegative")
+    _box_radius(N)
     if m.q > BUCKET_MAX_Q:
         raise TooLarge(f"q = {m.q} above the bucket-table bound {BUCKET_MAX_Q}")
     if N == 0:
         return 0
     q = m.q
     xs = _unit_box(m.p, N)
-    res = xs % q
-    class_count = np.bincount(res, minlength=q).astype(np.int64)
-    rho = np.arange(q, dtype=np.int64)
-    units = rho[rho % m.p != 0]
-    bucket = np.zeros(q, dtype=np.int64)
-    np.add.at(bucket, (units * units) % q, class_count[units])
-    sq = (res * res) % q
+    sq = (xs % q) ** 2 % q
+    bucket = np.bincount(sq, minlength=q)  # box units x3 per square class
     total = 0
     for x1 in xs[xs > 0].tolist():
         c = (x1 * x1 % q + sq) % q

@@ -390,6 +390,8 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
             raise HypothesisViolated(
                 f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable"
             )
+        if (spec.l1 * spec.l2) % m.p == 0:
+            return 0j  # the stationary congruence forces t = 0 or +-1 mod p
         pts = stationary_points(spec.l1, spec.l2, m.p)
         total = 0j
         for root in pts.roots:

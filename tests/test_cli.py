@@ -104,6 +104,16 @@ def test_count_small_prime_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "N,cutoff", [("inf", "3.5"), ("nan", "3.5"), ("1e12", "3.5"), ("10", "inf"), ("10", "nan")]
+)
+def test_count_rejects_nonfinite_and_huge_boxes(capsys, N, cutoff):
+    code = main(["count", "--p", "7", "--n", "2", "--N", N, "--cutoff", cutoff])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_count_cross_method_agreement(capsys):
     _, rec1 = run_cli(capsys, "count", "--p", "7", "--n", "1", "--N", "3",
                       "--method", "triple-loop")
@@ -208,11 +218,6 @@ def test_determinism_across_reruns(capsys):
     _, rec1 = run_cli(capsys, "count", "--p", "7", "--n", "2", "--N", "12")
     _, rec2 = run_cli(capsys, "count", "--p", "7", "--n", "2", "--N", "12")
     assert strip_volatile(rec1) == strip_volatile(rec2)
-    _, rec3 = run_cli(capsys, "count", "--p", "7", "--n", "2", "--N", "12",
-                      "--threads", "4")
-    r3 = strip_volatile(rec3)
-    r3["manifest"]["params"]["threads"] = None
-    assert r3 == strip_volatile(rec1)
 
 
 def test_out_dir_env_var(capsys, tmp_path, monkeypatch):

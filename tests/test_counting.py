@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pythmod.counting import (
     CountConfig,
@@ -40,6 +43,11 @@ def test_config_validation():
         cfg(7, 2, 10, method="fft")
     with pytest.raises(ValueError):
         cfg(7, 2, 10, cutoff=1.0)  # below the 1e-12 truncation radius
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            cfg(7, 2, bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            cfg(7, 2, 10, cutoff=bad)
 
 
 def test_predict_main_term_examples():
@@ -129,19 +137,45 @@ def test_smoothed_vanishing_weight():
     assert rep.measured_T <= 1e-12
 
 
-def test_thread_count_does_not_change_floats():
-    base = count_smoothed(cfg(7, 3, 40)).measured_T
-    for threads in (1, 2, 4):
-        got = count_smoothed(cfg(7, 3, 40, threads=threads)).measured_T
-        assert got == base  # bitwise identical reduction
-    tl = count_smoothed(cfg(7, 2, 10, method="triple-loop")).measured_T
-    tl4 = count_smoothed(cfg(7, 2, 10, method="triple-loop", threads=4)).measured_T
-    assert tl == tl4
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([7, 11, 13]),
+    n=st.integers(1, 3),
+    N=st.floats(1.0, 12.0),
+    scale=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_bucket_kernel_matches_triple_loop(p, n, N, scale):
+    kw = dict(weight=gaussian(scale), cutoff=3.5 * scale)
+    loop = count_smoothed(cfg(p, n, N, method="triple-loop", **kw)).measured_T
+    fft = count_smoothed(cfg(p, n, N, **kw)).measured_T
+    # float64 rounding in the FFT reaches a few eps * log2(q) of mass^3, with
+    # mass the total box weight; boxes without solutions give loop == 0
+    C = math.floor(3.5 * scale * N)
+    xs = np.array([x for x in range(-C, C + 1) if x % p])
+    mass = float(gaussian(scale).value(xs / N).sum())
+    assert abs(fft - loop) <= 1e-6 * loop + 1e-13 * mass**3
 
 
 def test_triple_loop_gate():
     with pytest.raises(TooLarge):
         count_smoothed(cfg(7, 2, 10**4, method="triple-loop"))
+
+
+def test_box_gate_raises_before_allocating():
+    m49 = PrimePowerModulus(7, 2)
+    configs = [cfg(7, 2, 1e12), cfg(7, 2, 1e12, method="triple-loop"), cfg(7, 2, 1e308)]
+    tracemalloc.start()
+    try:
+        for c in configs:
+            with pytest.raises(TooLarge, match="points per axis"):
+                count_smoothed(c)
+        for N in (10**12, 500_000):  # 2 * 500000 + 1 is one point over the bound
+            with pytest.raises(TooLarge, match="points per axis"):
+                count_box_exact(m49, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one box of 10^6 int64 points would be 8 MB
 
 
 def _box_brute(p, n, N):
@@ -170,7 +204,11 @@ def test_count_box_exact_examples():
     assert count_box_exact(PrimePowerModulus(7, 1), 0) == 0
 
 
-@pytest.mark.parametrize("p,n,N", [(7, 2, 17), (7, 3, 30), (7, 4, 50), (11, 2, 21)])
+@pytest.mark.parametrize(
+    "p,n,N",
+    # q below box^2, then q above it (the box is 2N + 1 wide)
+    [(7, 2, 17), (7, 3, 30), (7, 4, 50), (11, 2, 21), (7, 4, 12), (13, 3, 15), (7, 5, 20)],
+)
 def test_count_box_exact_matches_brute(p, n, N):
     assert count_box_exact(PrimePowerModulus(p, n), N) == _box_brute(p, n, N)
 

@@ -393,6 +393,25 @@ def test_circle_exponential_sum_double_root_case():
     assert abs(circle_exponential_sum(spec, "bruteforce")) <= 1e-9 * math.sqrt(m.q)
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in (7, 11, 13) for n in (2, 3, 4)])
+def test_closed_sum_vanishes_where_p_divides_one_of_l1_l2(p, n):
+    # the stationary congruence 2 l1 a = l2 (1 - a^2) mod p then forces
+    # a = 0 or +-1, all inadmissible, so the closed sum is empty
+    m = PrimePowerModulus(p, n)
+    rng = random.Random(f"{p}:{n}")
+    for _ in range(8):
+        r = rng.randrange(0, n - 1)
+        unit = rng.choice([x for x in range(1, p * p) if x % p])
+        multiple = p * rng.randrange(1, p * p)
+        l1, l2 = (unit, multiple) if rng.random() < 0.5 else (multiple, unit)
+        x3 = rng.choice([x for x in range(1, 3 * p) if x % p])
+        spec = ExpSumSpec(l1 * p**r, l2 * p**r, x3, m)
+        assert spec.r == r and (spec.l1 * spec.l2) % p == 0
+        assert circle_exponential_sum(spec, "closed") == 0
+        brute = circle_exponential_sum(spec, "bruteforce")
+        assert abs(brute) <= 1e-9 * math.sqrt(m.q), (l1, l2, r, x3)
+
+
 def test_lattice_circle_weight_no_points():
     w = gaussian(1.0)
     assert lattice_circle_weight(3, 2, 100.0, w, 7) == 0
