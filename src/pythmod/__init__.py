@@ -54,12 +54,10 @@ from .padic import (
     PrimePowerModulus,
     RationalFunction,
     Residue,
-    derivative,
     eval_rational_mod,
     inv_mod,
     is_prime,
     jacobi_symbol,
-    ord_p_rational,
     sqrt_mod,
 )
 from .weights import PoissonCheck, WeightSpec, gaussian, poisson_check, weighted_lattice_sum

@@ -25,7 +25,7 @@ from .counting import (
     count_smoothed,
     transition_check,
 )
-from .errors import HypothesisViolated, PythmodError
+from .errors import HypothesisViolated, PythmodError, TooLarge
 from .expsums import (
     ExpSumSpec,
     circle_exponential_sum,
@@ -54,17 +54,18 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _emit(subcommand: str, params: dict, result: dict, out: Optional[str], t0: float) -> None:
-    record = {
-        "manifest": {
-            "subcommand": subcommand,
-            "params": {k: v for k, v in params.items() if k != "func"},
-            "version": __version__,
-            "out": out,
-            "seconds": time.perf_counter() - t0,
-        },
-        "result": result,
+def _manifest(subcommand: str, params: dict, out: Optional[str], t0: float) -> dict:
+    return {
+        "subcommand": subcommand,
+        "params": {k: v for k, v in params.items() if k != "func"},
+        "version": __version__,
+        "out": out,
+        "seconds": time.perf_counter() - t0,
     }
+
+
+def _emit(subcommand: str, params: dict, result: dict, out: Optional[str], t0: float) -> None:
+    record = {"manifest": _manifest(subcommand, params, out, t0), "result": result}
     text = json.dumps(record, sort_keys=True, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -100,10 +101,9 @@ def cmd_count(args, t0: float) -> int:
         cutoff=args.cutoff,
         method=args.method,
     )
-    report = count_smoothed(cfg)
-    if args.exact:
-        report.exact_box_count = count_box_exact(m, int(math.floor(args.N)))
-    _emit("count", vars(args), report.to_dict(), args.out, t0)
+    result = count_smoothed(cfg).to_dict()
+    result["exact_box_count"] = count_box_exact(m, math.floor(args.N)) if args.exact else None
+    _emit("count", vars(args), result, args.out, t0)
     return 0
 
 
@@ -120,8 +120,13 @@ def cmd_scan(args, t0: float) -> int:
             Ns = _parse_range(args.N_range)
             if not Ns:
                 raise ValueError("empty N range")
+        elif not math.isfinite(args.nu):
+            raise ValueError(f"nu = {args.nu} must be finite")
         else:
-            Ns = [math.ceil(m.q**args.nu)]
+            try:
+                Ns = [math.ceil(m.q**args.nu)]
+            except OverflowError:
+                raise TooLarge(f"N = {m.q}^{args.nu} overflows a float") from None
         for N in Ns:
             cfg = CountConfig(
                 modulus=m,
@@ -130,15 +135,8 @@ def cmd_scan(args, t0: float) -> int:
                 cutoff=args.cutoff,
                 method=args.method,
             )
-            rep = count_smoothed(cfg)
-            rows.append(
-                {
-                    "p": rep.p, "n": rep.n, "q": rep.q, "N": rep.N,
-                    "nu": rep.nu, "phi_scale": rep.phi_scale,
-                    "measured_T": rep.measured_T, "predicted_T0": rep.predicted_T0,
-                    "ratio": rep.ratio, "method": rep.method, "seconds": rep.seconds,
-                }
-            )
+            rep = count_smoothed(cfg).to_dict()
+            rows.append({k: rep[k] for k in SWEEP_COLUMNS})
     out = args.out
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -147,16 +145,7 @@ def cmd_scan(args, t0: float) -> int:
             writer.writerows(rows)
         sidecar = out + ".manifest.json"
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "subcommand": "scan",
-                    "params": {k: v for k, v in vars(args).items() if k != "func"},
-                    "version": __version__,
-                    "out": out,
-                    "seconds": time.perf_counter() - t0,
-                },
-                fh, sort_keys=True, indent=2,
-            )
+            json.dump(_manifest("scan", vars(args), out, t0), fh, sort_keys=True, indent=2)
             fh.write("\n")
     _emit("scan", vars(args), {"rows": rows, "csv_columns": SWEEP_COLUMNS}, None, t0)
     return 0

@@ -4,9 +4,10 @@ Two routes for the smoothed count: a direct triple loop, the
 independent oracle at O((cutoff*N)^3), and a sqrt-bucket kernel.  The
 kernel buckets the box by square class, S[c] = total weight of the units
 x with x^2 = c mod q, and takes the count T = <S * S, S> with one real
-FFT self-convolution mod q: O(q log q + cutoff*N).  An exact integer
-path counts the sharp box, and the dual side counts ordinary Pythagorean
-triples through the sum-of-two-squares function r2.  predict_dual_terms
+FFT self-convolution mod q: O(q log q + cutoff*N).  One integer
+square-class counter gives the exact sharp-box count and the dual-side
+count; above modulus 2L^2 the dual side counts ordinary Pythagorean
+triples with a multiplicative sieve for r2(m^2).  predict_dual_terms
 evaluates the smoothed count a third way, as an exact Poisson expansion
 over closed-form Gauss sums, and splits it into the main term and the
 dual terms.
@@ -85,7 +86,6 @@ class CountReport:
     predicted_T0: float
     ratio: float
     seconds: float
-    exact_box_count: Optional[int] = None
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -287,24 +287,24 @@ def count_smoothed(cfg: CountConfig) -> CountReport:
     )
 
 
+def _square_triples(xs: np.ndarray, M: int) -> int:
+    """Number of triples in xs^3 with x1^2 + x2^2 = x3^2 mod M."""
+    if M > BUCKET_MAX_Q:
+        raise TooLarge(f"modulus {M} above the bucket-table bound {BUCKET_MAX_Q}")
+    classes, counts = np.unique(xs * xs % M, return_counts=True)
+    bucket = np.zeros(M, dtype=np.int32)  # points of xs per square class
+    bucket[classes] = counts
+    return sum(
+        n * int(counts @ bucket[(c + classes) % M])
+        for c, n in zip(classes.tolist(), counts.tolist())
+    )
+
+
 def count_box_exact(m: PrimePowerModulus, N: int) -> int:
     """Exact number of unit solutions with max |x_i| <= N (integer path)."""
     if N < 0:
         raise ValueError(f"N = {N} must be nonnegative")
-    _box_radius(N)
-    if m.q > BUCKET_MAX_Q:
-        raise TooLarge(f"q = {m.q} above the bucket-table bound {BUCKET_MAX_Q}")
-    if N == 0:
-        return 0
-    q = m.q
-    xs = _unit_box(m.p, N)
-    sq = (xs % q) ** 2 % q
-    bucket = np.bincount(sq, minlength=q)  # box units x3 per square class
-    total = 0
-    for x1 in xs[xs > 0].tolist():
-        c = (x1 * x1 % q + sq) % q
-        total += int(bucket[c].sum())
-    return 2 * total
+    return _square_triples(_unit_box(m.p, _box_radius(N)), m.q)
 
 
 def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
@@ -345,14 +345,7 @@ def transition_check(m: PrimePowerModulus, N: int) -> TransitionResult:
 
 def _factorize(m: int) -> List[Tuple[int, int]]:
     out = []
-    for d in (2, 3, 5):
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-    d = 7
+    d = 2
     while d * d <= m:
         if m % d == 0:
             e = 0
@@ -360,7 +353,7 @@ def _factorize(m: int) -> List[Tuple[int, int]]:
                 m //= d
                 e += 1
             out.append((d, e))
-        d += 2
+        d += 1 if d == 2 else 2
     if m > 1:
         out.append((m, 1))
     return out
@@ -387,44 +380,33 @@ def r2(m: int) -> int:
     return total
 
 
-def _smallest_factor_sieve(n: int) -> np.ndarray:
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for i in range(2, math.isqrt(n) + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-            spf[i * i :: i] = block
-    return spf
-
-
 def count_pythagorean(N: int) -> int:
     """Number of integer triples with x1^2 + x2^2 = x3^2 and |x3| <= N.
 
     Computed as 1 + 2 * sum over m <= N of r2(m^2); the exponent of a
     prime 1 mod 4 in m^2 is twice its exponent e in m, giving the factor
-    2e + 1.  Grows like (8/pi) N log N.
+    2e + 1.  A multiplicative sieve builds f[m] = prod (2e + 1) in place.
+    Grows like (8/pi) N log N.
     """
     if N < 0:
         raise ValueError(f"N = {N} must be nonnegative")
     if N > PYTH_MAX_N:
         raise TooLarge(f"N = {N} above the sieve bound {PYTH_MAX_N}")
-    if N == 0:
-        return 1
-    spf = _smallest_factor_sieve(N)
-    acc = 0
-    for m in range(1, N + 1):
-        mm = m
-        prod = 1
-        while mm > 1:
-            d = int(spf[mm]) or mm
-            e = 0
-            while mm % d == 0:
-                mm //= d
-                e += 1
-            if d % 4 == 1:
-                prod *= 2 * e + 1
-        acc += prod
-    return 1 + 8 * acc  # r2(m^2) = 4 * prod, and each m counts twice
+    prime = np.ones(N + 1, dtype=bool)
+    prime[:2] = False
+    for i in range(2, math.isqrt(N) + 1):
+        if prime[i]:
+            prime[i * i :: i] = False
+    f = np.ones(N + 1, dtype=np.int16)  # at most 405 for N <= PYTH_MAX_N
+    for p in (np.flatnonzero(prime[1::4]) * 4 + 1).tolist():
+        pe, e = p, 1
+        while pe <= N:
+            # multiples of p^e: the factor 2e - 1 from p becomes 2e + 1
+            view = f[pe::pe]
+            view //= 2 * e - 1
+            view *= 2 * e + 1
+            pe, e = pe * p, e + 1
+    return 1 + 8 * int(f[1:].sum(dtype=np.int64))  # r2(m^2) = 4 f[m], each m twice
 
 
 def dual_triple_count(L: int, modulus: int) -> int:
@@ -440,16 +422,8 @@ def dual_triple_count(L: int, modulus: int) -> int:
         raise TooLarge(f"L = {L} above the enumeration bound {DUAL_MAX_L}")
     if modulus < 1:
         raise ValueError(f"modulus = {modulus} must be positive")
-    if L == 0:
-        return 0
     if modulus > 2 * L * L:
         # |l1^2 + l2^2 - l3^2| <= 2 L^2 < modulus: congruence = equation
         return count_pythagorean(L) - 1
     ls = np.arange(-L, L + 1, dtype=np.int64)
-    sq = (ls * ls) % modulus
-    bucket = np.bincount(sq, minlength=modulus).astype(np.int64)
-    total = 0
-    for v in sq.tolist():
-        c = (np.int64(v) + sq) % modulus
-        total += int(bucket[c].sum())
-    return total - 1  # drop (0, 0, 0)
+    return _square_triples(ls, modulus) - 1  # drop (0, 0, 0)

@@ -328,6 +328,7 @@ class RationalFunction:
         return RationalFunction(num, self.den * self.den)
 
     def ord_p(self, p: int):
+        """ord_p(F1) - ord_p(F2); +inf for the zero numerator."""
         a, b = self.num.ord_p(p), self.den.ord_p(p)
         return a - b if a is not math.inf else math.inf
 
@@ -336,15 +337,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-
-def ord_p_rational(f: RationalFunction, p: int):
-    """ord_p(F1) - ord_p(F2); +inf for the zero numerator."""
-    return f.ord_p(p)
-
-
-def derivative(f: RationalFunction) -> RationalFunction:
-    return f.derivative()
 
 
 def eval_rational_mod(

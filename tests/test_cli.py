@@ -206,6 +206,15 @@ def test_scan_empty_range_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("nu", ["inf", "1e10", "nan"])
+def test_scan_rejects_nonfinite_and_overflowing_nu(capsys, nu):
+    code = main(["scan", "--p", "7", "--n", "2", "--nu", nu])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_scan_n_range_with_N_range(capsys):
     code, rec = run_cli(
         capsys, "scan", "--p", "7", "--n", "2", "--N-range", "5..15:5",

@@ -267,8 +267,18 @@ def test_count_pythagorean_examples():
 
 
 def test_count_pythagorean_brute_oracle():
-    for N in (0, 1, 2, 3, 5, 17, 100, 345, 500):
+    # 25, 125, 169 and 289 are the prime-power edges of the sieve
+    for N in (0, 1, 2, 3, 5, 17, 25, 100, 125, 169, 289, 345, 500):
         assert count_pythagorean(N) == _pyth_brute(N), N
+
+
+def test_count_pythagorean_is_r2_prefix_sum():
+    # r2 factors by trial division and shares no code with the sieve
+    total = 1
+    for N in range(0, 1001):
+        if N:
+            total += 2 * r2(N * N)
+        assert count_pythagorean(N) == total, N
 
 
 def test_count_pythagorean_monotone():
@@ -313,3 +323,11 @@ def test_dual_triple_count_brute(L, mod):
 def test_dual_triple_count_gate():
     with pytest.raises(TooLarge):
         dual_triple_count(10**4 + 1, 7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="bucket-table bound"):
+            dual_triple_count(10**4, 2 * 10**8)  # modulus = 2 L^2: the table path
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # a class table mod 2 * 10^8 would be 800 MB

@@ -15,7 +15,6 @@ from pythmod.padic import (
     inv_mod,
     is_prime,
     jacobi_symbol,
-    ord_p_rational,
     sqrt_mod,
 )
 
@@ -162,11 +161,11 @@ def test_poly_basics():
 
 def test_ord_p_rational_examples():
     f = RationalFunction(Poly([49, 0, 7]))  # 7x^2 + 49
-    assert ord_p_rational(f, 7) == 1
-    assert ord_p_rational(RationalFunction(Poly([1, 1])), 7) == 0
+    assert f.ord_p(7) == 1
+    assert RationalFunction(Poly([1, 1])).ord_p(7) == 0
     g = RationalFunction(Poly([0, 7]), Poly([49]))  # 7x / 49
-    assert ord_p_rational(g, 7) == -1
-    assert ord_p_rational(RationalFunction(Poly([]), Poly([1])), 7) == math.inf
+    assert g.ord_p(7) == -1
+    assert RationalFunction(Poly([]), Poly([1])).ord_p(7) == math.inf
 
 
 def test_ord_p_additive_under_multiplication():
@@ -184,7 +183,7 @@ def test_ord_p_additive_under_multiplication():
         f = RationalFunction(f1, f2)
         g = RationalFunction(g1, g2)
         prod = RationalFunction(f1 * g1, f2 * g2)
-        assert ord_p_rational(prod, p) == ord_p_rational(f, p) + ord_p_rational(g, p)
+        assert prod.ord_p(p) == f.ord_p(p) + g.ord_p(p)
 
 
 def test_eval_rational_mod_examples():
