@@ -101,8 +101,10 @@ def cmd_count(args, t0: float) -> int:
         cutoff=args.cutoff,
         method=args.method,
     )
+    # the exact count first: its gates refuse a box before the smoothed count runs
+    exact = count_box_exact(m, math.floor(args.N)) if args.exact else None
     result = count_smoothed(cfg).to_dict()
-    result["exact_box_count"] = count_box_exact(m, math.floor(args.N)) if args.exact else None
+    result["exact_box_count"] = exact
     _emit("count", vars(args), result, args.out, t0)
     return 0
 

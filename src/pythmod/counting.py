@@ -9,8 +9,8 @@ square-class counter gives the exact sharp-box count and the dual-side
 count; above modulus 2L^2 the dual side counts ordinary Pythagorean
 triples with a multiplicative sieve for r2(m^2).  predict_dual_terms
 evaluates the smoothed count a third way, as an exact Poisson expansion
-over closed-form Gauss sums, and splits it into the main term and the
-dual terms.
+over closed-form Gauss sums with one DFT per p-adic level, and splits it
+into the main term and the dual terms.
 """
 from __future__ import annotations
 
@@ -24,16 +24,15 @@ import numpy as np
 from .circle import excluded_param_count
 from .errors import RangeViolation, SmallPrime, TooLarge
 from .expsums import _inv_unit_vec, gauss_sum_closed
-from .padic import PrimePowerModulus, jacobi_symbol
-from .weights import WeightSpec
+from .padic import PrimePowerModulus
+from .weights import WeightSpec, _box_radius
 
 TRIPLE_LOOP_MAX_CELLS = 10**9
 BUCKET_MAX_Q = 2**26
-BOX_MAX_POINTS = 10**6  # points per axis of a box, 2 * floor(cutoff * N) + 1
 PYTH_MAX_N = 10**7
 DUAL_MAX_L = 10**4
-R2_MAX_M = 10**18
-DUAL_MAX_CELLS = 10**8  # Gauss-sum terms: q * (2K + 1) in predict_dual_terms
+R2_MAX_M = 10**14  # trial division up to 10^7
+DUAL_MAX_ENTRIES = 10**7  # q + K + 1 array entries on the dual side, ~85 bytes each
 DUAL_TOL = 1e-16  # dual frequencies with fourier(k N / q) below this are dropped
 
 
@@ -78,7 +77,6 @@ class CountReport:
     q: int
     N: float
     nu: float
-    phi_kind: str
     phi_scale: float
     cutoff: float
     method: str
@@ -107,51 +105,56 @@ class DualTerms(NamedTuple):
     T1: float  # every other dual frequency
 
 
-class _GaussLevel(NamedTuple):
-    """The residues a = p^j * u mod q, u a unit mod p^(n-j) in ascending
-    order, with c = (4u)^-1 mod p^(n-j) and the Legendre symbol (u/p).
-    The level j = n holds a = 0 alone."""
-
-    j: int
-    u: np.ndarray
-    c: np.ndarray
-    chi: np.ndarray
-
-
-def _gauss_levels(m: PrimePowerModulus) -> List[_GaussLevel]:
-    p, n = m.p, m.n
-    legendre = np.array([jacobi_symbol(r, p) for r in range(p)], dtype=np.int64)
-    levels = []
-    for j in range(n):
-        mj = PrimePowerModulus(p, n - j)
-        u = np.arange(1, mj.q, dtype=np.int64)
-        u = u[u % p != 0]
-        c = _inv_unit_vec(4 * u % mj.q, mj)
-        levels.append(_GaussLevel(j, u, c, legendre[u % p]))
-    zero = np.zeros(1, dtype=np.int64)
-    levels.append(_GaussLevel(n, zero, zero, zero + 1))
-    return levels
+def _dual_gate(q: int, K: int) -> None:
+    """Raises TooLarge, before any allocation, when the dual side's arrays
+    of lengths q and K + 1 exceed DUAL_MAX_ENTRIES entries in all."""
+    if q + K + 1 > DUAL_MAX_ENTRIES:
+        raise TooLarge(
+            f"dual expansion needs q + K + 1 = {q + K + 1} array entries "
+            f"(q = {q}, K = {K}), above {DUAL_MAX_ENTRIES}"
+        )
 
 
-def _complete_sums(p: int, mm: int, j: int, lvl: _GaussLevel, k: int, char: np.ndarray):
-    """Sum of e((p^j u x^2 + k x) / p^mm) over all x mod p^mm, for each u of
-    the level: zero unless p^j | k, else with k = p^j k' and q' = p^(mm-j),
-    p^j * e_q'(-c k'^2) * (u/q') * G(q'), G the quadratic Gauss sum."""
+def _complete_sums(p: int, mm: int, j: int, c: np.ndarray, chi: np.ndarray, coef: np.ndarray):
+    """Sum over k >= 0 of coef[k] times the sum of e((p^j u x^2 + k x) / p^mm)
+    over all x mod p^mm, for each unit u of a level, given c = (4u)^-1 and
+    chi = (u/p).  Only k = p^j k' contribute; with q' = p^(mm-j) each is
+    p^j * G(q') * (u/q') * e_q'(-c k'^2), G the quadratic Gauss sum.
+    Bucketing coef[p^j k'] by k'^2 mod q' makes the sum over k' one DFT
+    of length q', read at c mod q'."""
     if j >= mm:
-        return p**mm if k % p**mm == 0 else 0
-    if k % p**j:
-        return 0
-    kk, q2 = k // p**j, p ** (mm - j)
-    phase = -(lvl.c % q2) * (kk * kk % q2) % q2
-    symbol = lvl.chi if (mm - j) % 2 else 1
-    return p**j * gauss_sum_closed(q2) * symbol * char[phase * (len(char) // q2)]
+        return p**mm * coef[:: p**mm].sum()
+    q2 = p ** (mm - j)
+    kk = np.arange(len(coef[:: p**j]), dtype=np.int64) % q2
+    buckets = np.bincount(kk * kk % q2, weights=coef[:: p**j], minlength=q2)
+    symbol = chi if (mm - j) % 2 else 1
+    return p**j * gauss_sum_closed(q2) * symbol * np.fft.fft(buckets)[c % q2]
 
 
-def _level_sums(m: PrimePowerModulus, lvl: _GaussLevel, k: int, char: np.ndarray):
-    # all x mod q, minus the non-units x = p y with y mod p^(n-1)
-    return _complete_sums(m.p, m.n, lvl.j, lvl, k, char) - _complete_sums(
-        m.p, m.n - 1, lvl.j + 1, lvl, k, char
+def _dual_sums(m: PrimePowerModulus, coef: np.ndarray) -> np.ndarray:
+    """s(a) = sum over k >= 0 of coef[k] * g(a, k), for a = 0..q-1.
+
+    Level by level in the p-adic order j of a = p^j u: the complete sum
+    over all x mod q minus the sum over the non-units x = p y, y mod
+    p^(n-1).  At a = 0 both are scalars and g(0, k) is the Ramanujan sum.
+    """
+    p, n = m.p, m.n
+    squares = np.zeros(p, dtype=bool)
+    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    u = np.arange(1, m.q, dtype=np.int64)
+    u = u[u % p != 0]
+    c = _inv_unit_vec(4 * u % m.q, m)  # mod q; reduced mod q' where used
+    chi = np.where(squares[u % p], 1, -1)
+    s = np.empty(m.q, dtype=complex)
+    s[0] = _complete_sums(p, n, n, None, None, coef) - _complete_sums(
+        p, n - 1, n + 1, None, None, coef
     )
+    for j in range(n):
+        h = len(u) // p**j  # the units below p^(n-j) come first
+        s[p**j * u[:h]] = _complete_sums(p, n, j, c[:h], chi[:h], coef) - _complete_sums(
+            p, n - 1, j + 1, c[:h], chi[:h], coef
+        )
+    return s
 
 
 def unit_gauss_sums(m: PrimePowerModulus, k: int) -> np.ndarray:
@@ -159,16 +162,20 @@ def unit_gauss_sums(m: PrimePowerModulus, k: int) -> np.ndarray:
 
     Closed form, level by level in the p-adic order j of a: complete the
     square in the sum over all x mod q, then subtract the sum over the
-    non-units. g(0, k) is the Ramanujan sum c_q(k). Raises TooLarge for
-    q above DUAL_MAX_CELLS.
+    non-units. g(0, k) is the Ramanujan sum c_q(k). g depends on k only
+    through |k| mod q, since g(a, -k) = g(a, k). Raises TooLarge when
+    q + (|k| mod q) + 1 exceeds DUAL_MAX_ENTRIES.
     """
-    if m.q > DUAL_MAX_CELLS:
-        raise TooLarge(f"q = {m.q} above the Gauss-sum table bound {DUAL_MAX_CELLS}")
-    char = np.exp(2j * math.pi * np.arange(m.q) / m.q)
-    out = np.zeros(m.q, dtype=complex)
-    for lvl in _gauss_levels(m):
-        out[lvl.u * m.p**lvl.j] = _level_sums(m, lvl, k, char)
-    return out
+    k = abs(k) % m.q
+    _dual_gate(m.q, k)
+    coef = np.zeros(k + 1)
+    coef[k] = 1.0
+    return _dual_sums(m, coef)
+
+
+def _cube_sum(s: np.ndarray) -> float:
+    # sum over a mod q of s(a)^2 s(-a); s[::-1] rolled by one is s(-a)
+    return float(np.sum(s * s * np.roll(s[::-1], 1)).real)
 
 
 def predict_dual_terms(cfg: CountConfig) -> DualTerms:
@@ -180,49 +187,23 @@ def predict_dual_terms(cfg: CountConfig) -> DualTerms:
         T = (N/q)^3 * (1/q) * sum over a mod q of s(a)^2 s(-a),
         s(a) = sum over k in Z of fourier(k N / q) * g(a, k),
 
-    with g from unit_gauss_sums. The term k1 = k2 = k3 = 0 is the main
+    with g as in unit_gauss_sums. The term k1 = k2 = k3 = 0 is the main
     term of predict_main_term; T1 = T - T0 holds the rest. The box
     cutoff is not modelled: the weight is summed over all of Z. The
     frequencies stop at |k| <= K = ceil(R q / N), with R the radius
-    beyond which fourier drops below DUAL_TOL. Raises TooLarge when the
-    q * (2K + 1) terms exceed DUAL_MAX_CELLS.
+    beyond which fourier drops below DUAL_TOL. Each level costs one DFT
+    and one pass over the frequencies: O(q log q + K) in all. Raises
+    TooLarge when q + K + 1 exceeds DUAL_MAX_ENTRIES.
     """
     m, N, w = cfg.modulus, cfg.N, cfg.weight
     q = m.q
     K = math.ceil(w.fourier_truncation_radius(DUAL_TOL) * q / N)
-    cells = q * (2 * K + 1)
-    if cells > DUAL_MAX_CELLS:
-        raise TooLarge(
-            f"dual expansion needs q*(2K+1) = {cells} terms (K = {K}), "
-            f"above {DUAL_MAX_CELLS}"
-        )
-    char = np.exp(2j * math.pi * np.arange(q) / q)
+    _dual_gate(q, K)
     coef = w.fourier(np.arange(K + 1) * N / q)
     coef[1:] *= 2  # g(a, -k) = g(a, k) and the weight is even
-    main = full = 0j
-    for lvl in _gauss_levels(m):
-        s0 = coef[0] * _level_sums(m, lvl, 0, char) * np.ones(len(lvl.u))
-        s = s0.copy()
-        for k in range(1, K + 1):
-            s += coef[k] * _level_sums(m, lvl, k, char)
-        # -a = p^j (p^(n-j) - u): the level's units in reverse order
-        main += np.sum(s0 * s0 * s0[::-1])
-        full += np.sum(s * s * s[::-1])
     scale = (N / q) ** 3 / q
-    T0 = scale * main.real
-    return DualTerms(T0, scale * full.real - T0)
-
-
-def _box_radius(extent: float) -> int:
-    """floor(extent), once the box |x| <= extent is known to have at most
-    BOX_MAX_POINTS points per axis; raises TooLarge before any allocation."""
-    C = math.floor(min(extent, BOX_MAX_POINTS))
-    if 2 * C + 1 > BOX_MAX_POINTS:
-        raise TooLarge(
-            f"box |x| <= {extent:.6g} has about {2 * extent + 1:.6g} points "
-            f"per axis, above {BOX_MAX_POINTS}"
-        )
-    return C
+    T0 = scale * _cube_sum(_dual_sums(m, coef[:1]))
+    return DualTerms(T0, scale * _cube_sum(_dual_sums(m, coef)) - T0)
 
 
 def _unit_box(p: int, bound: int) -> np.ndarray:
@@ -276,7 +257,6 @@ def count_smoothed(cfg: CountConfig) -> CountReport:
         q=cfg.modulus.q,
         N=cfg.N,
         nu=cfg.nu,
-        phi_kind=cfg.weight.kind,
         phi_scale=cfg.weight.scale,
         cutoff=cfg.cutoff,
         method=cfg.method,
@@ -292,6 +272,12 @@ def _square_triples(xs: np.ndarray, M: int) -> int:
     if M > BUCKET_MAX_Q:
         raise TooLarge(f"modulus {M} above the bucket-table bound {BUCKET_MAX_Q}")
     classes, counts = np.unique(xs * xs % M, return_counts=True)
+    pairs = len(classes) ** 2  # one gather of the classes per class
+    if pairs > TRIPLE_LOOP_MAX_CELLS:
+        raise TooLarge(
+            f"{len(classes)} square classes need {pairs} class pairs, "
+            f"above {TRIPLE_LOOP_MAX_CELLS}"
+        )
     bucket = np.zeros(M, dtype=np.int32)  # points of xs per square class
     bucket[classes] = counts
     return sum(

@@ -115,25 +115,11 @@ class Residue:
         return self.modulus.is_unit(self.value)
 
 
-def _egcd(a: int, b: int) -> Tuple[int, int]:
-    """Returns (g, s) with g = gcd(a, b) and s*a = g mod b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-    return old_r, old_s
-
-
 def inv_mod(a: int, m: PrimePowerModulus) -> Residue:
-    """Multiplicative inverse mod q = p^n via extended Euclid."""
+    """Multiplicative inverse mod q = p^n."""
     if a % m.p == 0:
         raise NotInvertible(f"{a} is divisible by p = {m.p}")
-    g, s = _egcd(a % m.q, m.q)
-    if g != 1:  # unreachable for unit a, kept as a tripwire
-        raise NotInvertible(f"gcd({a}, {m.q}) = {g}")
-    return Residue(s, m)
+    return Residue(pow(a, -1, m.q), m)
 
 
 def jacobi_symbol(a: int, m: int) -> int:
@@ -199,8 +185,7 @@ def sqrt_mod(a: int, m: PrimePowerModulus) -> Optional[Tuple[Residue, Residue]]:
     pk = m.p
     while pk < m.q:
         pk = min(pk * pk, m.q)
-        g, s = _egcd(2 * root % pk, pk)
-        root = (root - (root * root - a) * s) % pk
+        root = (root - (root * root - a) * pow(2 * root, -1, pk)) % pk
     root %= m.q
     pair = sorted((root, m.q - root))
     return Residue(pair[0], m), Residue(pair[1], m)

@@ -13,6 +13,22 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .errors import TooLarge
+
+BOX_MAX_POINTS = 10**6  # points per axis of a box, or terms of a weight sum
+
+
+def _box_radius(extent: float, what: str = "box") -> int:
+    """floor(extent), once the integers |x| <= extent are known to number at
+    most BOX_MAX_POINTS; raises TooLarge before any loop or allocation."""
+    C = math.floor(min(extent, BOX_MAX_POINTS))
+    if 2 * C + 1 > BOX_MAX_POINTS:
+        raise TooLarge(
+            f"{what} |x| <= {extent:.6g} has about {2 * extent + 1:.6g} points "
+            f"per axis, above {BOX_MAX_POINTS}"
+        )
+    return C
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -22,7 +38,6 @@ class WeightSpec:
     fourier_at_zero equals the scale s.
     """
 
-    kind: str
     scale: float
 
     def value(self, x):
@@ -49,10 +64,10 @@ class WeightSpec:
 
 
 def gaussian(s: float) -> WeightSpec:
-    """Gaussian weight of scale s > 0; s = 1 is the self-dual case."""
-    if s <= 0:
-        raise ValueError(f"scale {s} must be positive")
-    return WeightSpec("gaussian", float(s))
+    """Gaussian weight of finite scale s > 0; s = 1 is the self-dual case."""
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"scale {s} must be finite and positive")
+    return WeightSpec(float(s))
 
 
 class PoissonCheck(NamedTuple):
@@ -68,9 +83,10 @@ def poisson_check(w: WeightSpec, tol: float = 1e-15) -> PoissonCheck:
     below tol; the two sides agree as an exact identity, so the residual
     is pure truncation and roundoff (contract: <= 1e-12).
     """
-    rv = int(math.ceil(w.truncation_radius(tol))) + 1
+    # floor(R + 1) + 1 = ceil(R) + 1 terms on each side
+    rv = _box_radius(w.truncation_radius(tol) + 1, "value series") + 1
+    rf = _box_radius(w.fourier_truncation_radius(tol) + 1, "Fourier series") + 1
     lhs = math.fsum(w.value(k) for k in range(-rv, rv + 1))
-    rf = int(math.ceil(w.fourier_truncation_radius(tol))) + 1
     rhs = math.fsum(w.fourier(k) for k in range(-rf, rf + 1))
     return PoissonCheck(lhs, rhs, abs(lhs - rhs))
 
@@ -87,11 +103,11 @@ def weighted_lattice_sum(
     restricts to p not dividing x; None sums over all of Z. Truncated at
     |x| <= N * truncation_radius(1e-15).
     """
-    if N < 1:
-        raise ValueError(f"N = {N} must be at least 1")
+    if not (math.isfinite(N) and N >= 1):
+        raise ValueError(f"N = {N} must be finite and at least 1")
     if residue_class is not None and coprime_to is not None:
         raise ValueError("give a residue class or a coprimality condition, not both")
-    cut = int(math.ceil(N * w.truncation_radius(1e-15)))
+    cut = _box_radius(N * w.truncation_radius(1e-15) + 1, "lattice sum")
     xs = np.arange(-cut, cut + 1, dtype=np.int64)
     if residue_class is not None:
         a, mod = residue_class

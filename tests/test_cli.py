@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -112,6 +113,30 @@ def test_count_rejects_nonfinite_and_huge_boxes(capsys, N, cutoff):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--p", "7", "--n", "2", "--N", "5", "--phi-scale", "nan"],
+        ["count", "--p", "7", "--n", "2", "--N", "5", "--phi-scale", "inf"],
+        ["poisson", "--s", "nan"],
+        ["poisson", "--s", "inf"],
+        ["poisson", "--s", "1e8"],
+        ["count", "--p", "7", "--n", "9", "--N", "142857", "--exact"],
+    ],
+)
+def test_rejects_bad_scales_and_costly_sums(capsys, argv):
+    # the last box passes the box gate, but its square classes would need
+    # about 1.5e10 class pairs: minutes of gathers
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert elapsed < 1
 
 
 def test_count_cross_method_agreement(capsys):

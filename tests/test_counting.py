@@ -95,12 +95,26 @@ def test_dual_terms_reproduce_triple_loop(p, n, N, scale):
     assert abs(measured - (dual.T0 + dual.T1)) <= 1e-9 * measured
 
 
+def test_dual_terms_match_bucket_at_small_N():
+    # K = ceil(3.425 * 7^6 / 10) = 40289 dual frequencies, far more than q / N
+    c = cfg(7, 6, 10)
+    measured = count_smoothed(c).measured_T
+    dual = predict_dual_terms(c)
+    assert abs(measured - (dual.T0 + dual.T1)) <= 1e-9 * measured
+
+
 def test_dual_terms_gate():
-    # K = ceil(3.425 * 7^6 / 10) = 40289, so q * (2K + 1) is about 9.5e9 terms
-    with pytest.raises(TooLarge, match=r"= 9480038771 terms \(K = 40289\)"):
-        predict_dual_terms(cfg(7, 6, 10))
-    with pytest.raises(TooLarge):
-        unit_gauss_sums(PrimePowerModulus(7, 10), 1)
+    tracemalloc.start()
+    try:
+        # q = 7^8 alone fits; K = ceil(3.425 * 7^8 / 1) = 19741367 does not
+        with pytest.raises(TooLarge, match=r"q \+ K \+ 1 = 25506169 .*K = 19741367"):
+            predict_dual_terms(cfg(7, 8, 1))
+        with pytest.raises(TooLarge, match=r"q \+ K \+ 1 = 40353609 "):
+            unit_gauss_sums(PrimePowerModulus(7, 9), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_predict_main_term_scaling_laws():
@@ -241,6 +255,9 @@ def test_r2_examples():
     assert r2(25) == 12
     assert r2(3) == 0
     assert r2(-4) == 0
+    assert r2(10**14) == 60  # 2^14 5^14: 4 * (14 + 1)
+    with pytest.raises(TooLarge, match="factorization bound"):
+        r2(10**14 + 31)  # a prime: trial division would run to 10^7
 
 
 def test_r2_brute_oracle_full_range():

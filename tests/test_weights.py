@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pythmod.errors import TooLarge
 from pythmod.weights import gaussian, poisson_check, weighted_lattice_sum
 
 
@@ -11,8 +13,9 @@ def test_gaussian_basics():
     assert w.value(0.0) == 1.0
     assert w.fourier_at_zero == 1.0
     assert gaussian(2.0).fourier_at_zero == 2.0
-    with pytest.raises(ValueError):
-        gaussian(0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            gaussian(bad)
 
 
 def test_gaussian_self_dual():
@@ -92,3 +95,23 @@ def test_weighted_lattice_sum_validation():
         weighted_lattice_sum(w, 0.5)
     with pytest.raises(ValueError):
         weighted_lattice_sum(w, 10.0, residue_class=(1, 7), coprime_to=5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_lattice_sum(w, bad)
+
+
+def test_weight_sums_gate_before_allocating():
+    tracemalloc.start()
+    try:
+        # the value series of scale 1e8 has about 6.6e8 terms, the Fourier
+        # series of scale 1e-8 about 1.9e9, the lattice sum at N = 1e6 6.6e6
+        with pytest.raises(TooLarge, match="value series"):
+            poisson_check(gaussian(1e8))
+        with pytest.raises(TooLarge, match="Fourier series"):
+            poisson_check(gaussian(1e-8))
+        with pytest.raises(TooLarge, match="lattice sum"):
+            weighted_lattice_sum(gaussian(1.0), 1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
