@@ -93,10 +93,12 @@ def inverse_param(y1: int, y2: int, m: PrimePowerModulus) -> Residue:
 
 
 def enumerate_admissible_t(m: PrimePowerModulus) -> List[int]:
-    """All admissible parameters in [0, q), ascending.
+    """All admissible parameters in [0, q), ascending; TooLarge above ENUM_MAX_Q.
 
     The count is p^(n-1) * (p - excluded_param_count(p)).
     """
+    if m.q > ENUM_MAX_Q:
+        raise TooLarge(f"q = {m.q} above the exhaustive bound {ENUM_MAX_Q}")
     bad = {t for t in range(m.p) if not is_admissible_param(t, m)}
     return [t for t in range(m.q) if t % m.p not in bad]
 

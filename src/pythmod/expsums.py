@@ -19,14 +19,7 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
-from .circle import enumerate_admissible_t
-from .errors import (
-    DenominatorNotUnit,
-    HypothesisViolated,
-    NotResidue,
-    TooLarge,
-    UnitRequired,
-)
+from .errors import DenominatorNotUnit, HypothesisViolated, NotResidue, TooLarge, UnitRequired
 from .padic import (
     Poly,
     PrimePowerModulus,
@@ -40,6 +33,7 @@ from .padic import (
 )
 
 BRUTE_MAX_Q = 10**7
+CLASS_BLOCK = 2**16  # terms per block of residue classes in the brute force
 GAUSS_MAX_Q = 10**6
 
 TWO_PI = 2.0 * math.pi
@@ -76,57 +70,70 @@ def _prime_gauss_unit(p: int) -> complex:
 
 def phase_function(k1: int, k2: int, x3: int) -> RationalFunction:
     """The circle phase x3 * (k1*(1-t^2) + 2*k2*t) / (1 + t^2)."""
-    return RationalFunction(
-        Poly([x3 * k1, 2 * x3 * k2, -x3 * k1]), Poly([1, 0, 1])
-    )
+    return RationalFunction(Poly([x3 * k1, 2 * x3 * k2, -x3 * k1]), Poly([1, 0, 1]))
 
 
 def _poly_eval_mod_vec(poly: Poly, xs: np.ndarray, q: int) -> np.ndarray:
-    """Horner evaluation mod q; intermediates stay below q^2 < 2^63."""
-    acc = np.zeros_like(xs)
-    for c in reversed(poly.coeffs):
-        acc = (acc * xs + c % q) % q
+    """Horner evaluation mod q, in place; intermediates stay below q^2 < 2^63."""
+    acc = np.full_like(xs, poly.coeffs[-1] % q if poly.coeffs else 0)
+    for c in reversed(poly.coeffs[:-1]):
+        acc *= xs
+        acc += c % q
+        acc %= q
     return acc
 
 
-def _pow_mod_vec(base: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = base % q
-    while e:
-        if e & 1:
-            out = (out * b) % q
-        b = (b * b) % q
-        e >>= 1
+def _inv_mod_p(p: int) -> np.ndarray:
+    """u^-1 mod p at index u (0 at 0): with p = k u + r, u^-1 = -k r^-1, and
+    the block of u with p // u = k has every r below it: O(sqrt(p)) steps."""
+    inv, u0 = np.zeros(p, dtype=np.int64), 2
+    inv[1] = 1
+    while u0 < p:
+        u = np.arange(u0, min(p // (p // u0) + 1, p), dtype=np.int64)
+        inv[u] = (p - p // u0) * inv[p % u] % p
+        u0 = u[-1] + 1
+    return inv
+
+
+def _inv_unit_vec(a: np.ndarray, m: PrimePowerModulus, seed=None) -> np.ndarray:
+    """Inverses mod q of the units in a: x <- x (2 - a x) doubles the p-adic
+    precision of x, from seed (inverses mod p that broadcast to a) or a table."""
+    x, t = np.empty_like(a), np.empty_like(a)
+    x[...] = _inv_mod_p(m.p)[a % m.p] if seed is None else seed
+    for _ in range((m.n - 1).bit_length()):  # ceil(log2 n) steps
+        np.multiply(a, x, out=t)
+        t %= m.q
+        np.subtract(2, t, out=t)
+        x *= t
+        x %= m.q
+    return x
+
+
+def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> np.ndarray:
+    """Sums of e_q(f(x)) over x = alpha mod p, x in [1, q], for each alpha in an
+    int64 array (den(alpha) a unit), a class a row, CLASS_BLOCK terms at a time.
+    Exact residues up to the single exp; den(x) = den(alpha) mod p seeds the
+    inverse. A row sums pairwise, as np.sum does a 1-D array."""
+    p, q = m.p, m.q
+    seeds = _inv_mod_p(p)[_poly_eval_mod_vec(f.den, alphas, p)]
+    rows = max(1, CLASS_BLOCK * p // q)
+    out = np.empty(len(alphas), dtype=complex)
+    for i in range(0, len(alphas), rows):
+        xs = alphas[i : i + rows, None] + np.arange(0, q, p, dtype=np.int64)
+        z = _inv_unit_vec(_poly_eval_mod_vec(f.den, xs, q), m, seeds[i : i + rows, None])
+        z *= _poly_eval_mod_vec(f.num, xs, q)
+        z %= q
+        out[i : i + rows] = np.exp(TWO_PI * 1j * z / q).sum(axis=1)
     return out
 
 
-def _inv_unit_vec(arr: np.ndarray, m: PrimePowerModulus) -> np.ndarray:
-    phi = m.q // m.p * (m.p - 1)
-    return _pow_mod_vec(arr, phi - 1, m.q)
-
-
-def _character_sum(f: RationalFunction, xs: np.ndarray, m: PrimePowerModulus) -> complex:
-    num = _poly_eval_mod_vec(f.num, xs, m.q)
-    den = _poly_eval_mod_vec(f.den, xs, m.q)
-    z = (num * _inv_unit_vec(den, m)) % m.q
-    return complex(np.exp(TWO_PI * 1j * z / m.q).sum())
-
-
-def residue_class_sum(
-    f: RationalFunction, alpha: int, m: PrimePowerModulus
-) -> complex:
-    """Brute force: sum of e_q(f(x)) over x = alpha mod p, x in [1, q].
-
-    Every term is computed with exact residue arithmetic before the
-    single transcendental call; np.sum gives deterministic pairwise
-    accumulation.
-    """
+def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> complex:
+    """Brute force: sum of e_q(f(x)) over x = alpha mod p, x in [1, q]."""
     if m.q > BRUTE_MAX_Q:
         raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
     if f.den.eval_mod(alpha, m.p) == 0:
         raise DenominatorNotUnit(f"denominator vanishes mod {m.p} at {alpha}")
-    xs = np.arange(alpha % m.p, m.q, m.p, dtype=np.int64)
-    return _character_sum(f, xs, m)
+    return complex(_class_sums(f, np.array([alpha % m.p]), m)[0])
 
 
 def _stripped(poly: Poly, p: int) -> Tuple[Poly, int]:
@@ -149,9 +156,7 @@ def _hensel_root(h: Poly, hp: Poly, alpha: int, p: int, levels: int) -> int:
     return val
 
 
-def residue_class_sum_closed(
-    f: RationalFunction, alpha: int, m: PrimePowerModulus
-) -> complex:
+def residue_class_sum_closed(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> complex:
     """Stationary-phase evaluation of the class sum, for n >= 2.
 
     With r the p-adic order of f' and h = p^-r * f', the sum over the
@@ -373,7 +378,8 @@ def gauss_factor_unified(levels: int, x3: int, D: int, p: int) -> complex:
 def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> complex:
     """E(k1, k2, x3; p^n): sum of e_q(f(t)) over admissible parameters t.
 
-    bruteforce sums termwise over every admissible t mod q (q <= 1e7).
+    bruteforce sums termwise over every admissible t mod q (q <= 1e7),
+    class by class mod p.
     closed assembles the stationary-phase class sums over the roots of
     the stationary congruence; it is exactly 0 when no admissible root
     exists, and needs r <= n - 2.
@@ -383,13 +389,12 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
     if mode == "bruteforce":
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-        ts = np.asarray(enumerate_admissible_t(m), dtype=np.int64)
-        return _character_sum(f, ts, m)
+        t = np.arange(m.p, dtype=np.int64)  # admissible: t - t^5 = t(1-t^2)(1+t^2) a unit
+        admissible = np.flatnonzero(_poly_eval_mod_vec(Poly([0, 1, 0, 0, 0, -1]), t, m.p))
+        return complex(_class_sums(f, admissible, m).sum())
     if mode == "closed":
         if spec.r > m.n - 2:
-            raise HypothesisViolated(
-                f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable"
-            )
+            raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")
         if (spec.l1 * spec.l2) % m.p == 0:
             return 0j  # the stationary congruence forces t = 0 or +-1 mod p
         pts = stationary_points(spec.l1, spec.l2, m.p)

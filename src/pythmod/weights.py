@@ -60,6 +60,8 @@ class WeightSpec:
 
     def fourier_truncation_radius(self, tol: float) -> float:
         """Smallest R with fourier(xi) <= tol for all |xi| > R."""
+        if self.scale <= tol:
+            raise ValueError(f"scale {self.scale:g} is not above the series tolerance {tol:g}")
         return math.sqrt(math.log(self.scale / tol) / math.pi) / self.scale
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -38,6 +39,22 @@ def test_param_subcommand(capsys, schema):
     assert rec["result"]["count"] == 4
     assert rec["manifest"]["subcommand"] == "param"
     assert rec["manifest"]["params"]["p"] == 7
+
+
+def test_param_refuses_before_enumerating(capsys):
+    # 7^11 admissible parameters would be about 1.1e9 Python ints
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["param", "--p", "7", "--n", "11"])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: TooLarge") and captured.err.count("\n") == 1
+    assert elapsed < 1 and peak < 2**20
 
 
 def test_param_points_flag(capsys, schema):
@@ -124,6 +141,7 @@ def test_count_rejects_nonfinite_and_huge_boxes(capsys, N, cutoff):
         ["poisson", "--s", "inf"],
         ["poisson", "--s", "1e8"],
         ["count", "--p", "7", "--n", "9", "--N", "142857", "--exact"],
+        ["poisson", "--s", "1e-300"],  # at or below the series tolerance 1e-15
     ],
 )
 def test_rejects_bad_scales_and_costly_sums(capsys, argv):

@@ -1,9 +1,14 @@
 import cmath
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pythmod.circle import enumerate_admissible_t
 from pythmod.errors import (
     DenominatorNotUnit,
     HypothesisViolated,
@@ -13,6 +18,7 @@ from pythmod.errors import (
 )
 from pythmod.expsums import (
     ExpSumSpec,
+    _inv_unit_vec,
     additive_character,
     canonical_sqrt,
     circle_exponential_sum,
@@ -382,6 +388,65 @@ def test_circle_exponential_sum_gates():
         circle_exponential_sum(ExpSumSpec(49, 98, 1, M7_3), "closed")  # r = 2 > n-2
     with pytest.raises(ValueError):
         circle_exponential_sum(ExpSumSpec(1, 1, 1, M7_3), "nope")
+
+
+def test_inv_unit_vec_matches_pow():
+    for p, n in [(5, 4), (7, 3), (11, 2), (13, 2), (10007, 1)]:
+        m = PrimePowerModulus(p, n)
+        units = [u for u in range(1, m.q) if u % p]
+        got = _inv_unit_vec(np.array(units, dtype=np.int64), m)
+        assert got.tolist() == [pow(u, -1, m.q) for u in units], (p, n)
+    rng = random.Random(616)
+    for p, n in [(7, 8), (31, 6)]:
+        m = PrimePowerModulus(p, n)
+        units = [u for u in (rng.randrange(1, m.q) for _ in range(10**4)) if u % p]
+        got = _inv_unit_vec(np.array(units, dtype=np.int64), m)
+        assert got.tolist() == [pow(u, -1, m.q) for u in units], (p, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 11, 13]),
+    n=st.integers(1, 4),
+    k1=st.integers(-10**6, 10**6),
+    k2=st.integers(-10**6, 10**6),
+    x3=st.integers(1, 10**6),
+)
+def test_circle_bruteforce_matches_scalar_loop(p, n, k1, k2, x3):
+    # n = 1 takes no lifting step; p = 5 has no admissible class at all
+    if (k1, k2) == (0, 0) or x3 % p == 0:
+        return
+    check_circle_bruteforce_by_scalar_loop(k1, k2, x3, PrimePowerModulus(p, n))
+
+
+def test_circle_bruteforce_blocks_of_short_classes():
+    # 516 admissible classes of 521 terms go 125 to a block: five blocks,
+    # the last one short
+    check_circle_bruteforce_by_scalar_loop(123456, 7890, 3, PrimePowerModulus(521, 2))
+
+
+def check_circle_bruteforce_by_scalar_loop(k1, k2, x3, m):
+    f = phase_function(k1, k2, x3)
+    naive = 0j
+    for t in enumerate_admissible_t(m):
+        z = f.num.eval_mod(t, m.q) * pow(f.den.eval_mod(t, m.q), -1, m.q) % m.q
+        naive += cmath.exp(2j * math.pi * z / m.q)
+    got = circle_exponential_sum(ExpSumSpec(k1, k2, x3, m), "bruteforce")
+    assert type(got) is complex
+    assert abs(got - naive) <= 1e-10 * math.sqrt(m.q)
+
+
+def test_circle_bruteforce_works_one_class_at_a_time():
+    # the 7^7 sum holds a few arrays of one class (q/7 terms), not of all
+    # 4q/7 admissible parameters
+    spec = ExpSumSpec(3, 4, 1, PrimePowerModulus(7, 7))
+    tracemalloc.start()
+    try:
+        circle_exponential_sum(spec, "bruteforce")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_circle_exponential_sum_double_root_case():
