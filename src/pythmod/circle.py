@@ -125,7 +125,7 @@ def enumerate_circle_solutions(m: PrimePowerModulus) -> List[Tuple[int, int]]:
 
 
 def hensel_lift_solution(s: SolutionTriple) -> List[SolutionTriple]:
-    """All p^2 lifts of a solution mod p^n to solutions mod p^(n+1).
+    """All p^2 lifts of a solution mod p^n to p^(n+1); TooLarge when p^2 > ENUM_MAX_Q.
 
     Writing x~ = x + k*p^n, the congruence at level n+1 reduces to the
     linear condition c + 2*x1*k1 + 2*x2*k2 - 2*x3*k3 = 0 mod p with
@@ -133,6 +133,8 @@ def hensel_lift_solution(s: SolutionTriple) -> List[SolutionTriple]:
     """
     m = s.modulus
     p, q = m.p, m.q
+    if p * p > ENUM_MAX_Q:
+        raise TooLarge(f"p^2 = {p * p} lifts above the exhaustive bound {ENUM_MAX_Q}")
     lifted = PrimePowerModulus(p, m.n + 1)
     c = (s.x1**2 + s.x2**2 - s.x3**2) // q % p
     inv_2x3 = pow(2 * s.x3 % p, -1, p)

@@ -41,7 +41,7 @@ OUT_DIR_ENV = "PYTHMOD_OUT_DIR"
 
 SWEEP_COLUMNS = [
     "p", "n", "q", "N", "nu", "phi_scale",
-    "measured_T", "predicted_T0", "ratio", "method", "seconds",
+    "measured_T", "predicted_T0", "ratio", "seconds",
 ]
 
 
@@ -98,8 +98,6 @@ def cmd_count(args, t0: float) -> int:
         modulus=m,
         N=args.N,
         weight=gaussian(args.phi_scale),
-        cutoff=args.cutoff,
-        method=args.method,
     )
     # the exact count first: its gates refuse a box before the smoothed count runs
     exact = count_box_exact(m, math.floor(args.N)) if args.exact else None
@@ -134,8 +132,6 @@ def cmd_scan(args, t0: float) -> int:
                 modulus=m,
                 N=float(N),
                 weight=gaussian(args.phi_scale),
-                cutoff=args.cutoff,
-                method=args.method,
             )
             rep = count_smoothed(cfg).to_dict()
             rows.append({k: rep[k] for k in SWEEP_COLUMNS})
@@ -275,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="box scale: coordinates are weighted by phi(x/N)")
     sp.add_argument("--phi-scale", dest="phi_scale", type=float, default=1.0,
                     help="Gaussian weight scale s; total mass phi_hat(0) = s")
-    sp.add_argument("--cutoff", type=float, default=3.5,
-                    help="box truncation at |x| <= cutoff*N; tail below 1e-12")
-    sp.add_argument("--method", choices=["sqrt-bucket", "triple-loop"],
-                    default="sqrt-bucket", help="counting kernel")
     sp.add_argument("--exact", action="store_true",
                     help="also report the exact sharp-box count at floor(N)")
     add_common(sp)
@@ -294,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="box exponent: N = ceil(q^nu) per row")
     sp.add_argument("--phi-scale", dest="phi_scale", type=float, default=1.0,
                     help="Gaussian weight scale")
-    sp.add_argument("--cutoff", type=float, default=3.5, help="box truncation multiplier")
-    sp.add_argument("--method", choices=["sqrt-bucket", "triple-loop"],
-                    default="sqrt-bucket", help="counting kernel")
     add_common(sp)
     sp.set_defaults(func=cmd_scan)
 

@@ -1,10 +1,9 @@
 """Counting solutions of x1^2 + x2^2 = x3^2 mod p^n in boxes.
 
-Two routes for the smoothed count: a direct triple loop, the
-independent oracle at O((cutoff*N)^3), and a sqrt-bucket kernel.  The
-kernel buckets the box by square class, S[c] = total weight of the units
-x with x^2 = c mod q, and takes the count T = <S * S, S> with one real
-FFT self-convolution mod q: O(q log q + cutoff*N).  One integer
+The smoothed count buckets the box by square class, S[c] = total
+weight of the units x with x^2 = c mod q, and takes T = <S * S, S> with
+one real FFT self-convolution mod q: O(q log q + cutoff*N).  A direct
+triple loop at O((cutoff*N)^3) is the tests' oracle for it.  One integer
 square-class counter gives the exact sharp-box count and the dual-side
 count; above modulus 2L^2 the dual side counts ordinary Pythagorean
 triples with a multiplicative sieve for r2(m^2).  predict_dual_terms
@@ -34,34 +33,29 @@ DUAL_MAX_L = 10**4
 R2_MAX_M = 10**14  # trial division up to 10^7
 DUAL_MAX_ENTRIES = 10**7  # q + K + 1 array entries on the dual side, ~85 bytes each
 DUAL_TOL = 1e-16  # dual frequencies with fourier(k N / q) below this are dropped
+CUTOFF = 3.5  # the box is |x| <= CUTOFF*s*N; the weight there is exp(-pi*3.5^2) < 2e-17
 
 
 @dataclass(frozen=True)
 class CountConfig:
-    """One smoothed-count experiment: modulus, box scale, weight, method."""
+    """One smoothed-count experiment: modulus, box scale and weight."""
 
     modulus: PrimePowerModulus
     N: float
     weight: WeightSpec
-    cutoff: float = 3.5
-    method: str = "sqrt-bucket"
 
     def __post_init__(self):
         if self.modulus.p <= 5:
             raise SmallPrime(
                 f"p = {self.modulus.p}: unit solutions require p > 5"
             )
-        if not (math.isfinite(self.N) and math.isfinite(self.cutoff)):
-            raise ValueError(f"N = {self.N} and cutoff = {self.cutoff} must be finite")
-        if self.N < 1:
-            raise ValueError(f"N = {self.N} must be at least 1")
-        if self.method not in ("triple-loop", "sqrt-bucket"):
-            raise ValueError(f"unknown method {self.method!r}")
-        min_cut = self.weight.truncation_radius(1e-12)
-        if self.cutoff < min_cut:
-            raise ValueError(
-                f"cutoff {self.cutoff} below truncation radius {min_cut:.3f}"
-            )
+        if not (math.isfinite(self.N) and self.N >= 1):
+            raise ValueError(f"N = {self.N} must be finite and at least 1")
+        self.weight.fourier_truncation_radius(DUAL_TOL)  # refuses s <= DUAL_TOL: s^3 may underflow
+
+    @property
+    def cutoff(self) -> float:
+        return CUTOFF * self.weight.scale
 
     @property
     def nu(self) -> float:
@@ -79,7 +73,6 @@ class CountReport:
     nu: float
     phi_scale: float
     cutoff: float
-    method: str
     measured_T: float
     predicted_T0: float
     ratio: float
@@ -244,12 +237,9 @@ def _smoothed_triple_loop(cfg: CountConfig) -> float:
 
 def count_smoothed(cfg: CountConfig) -> CountReport:
     """Weighted count of unit solutions of the congruence in the box
-    |x_i| <= cutoff*N, by the configured method."""
+    |x_i| <= cutoff*N, against the predicted main term."""
     start = time.perf_counter()
-    if cfg.method == "sqrt-bucket":
-        measured = _smoothed_bucket(cfg)
-    else:
-        measured = _smoothed_triple_loop(cfg)
+    measured = _smoothed_bucket(cfg)
     predicted = predict_main_term(cfg)
     return CountReport(
         p=cfg.modulus.p,
@@ -259,7 +249,6 @@ def count_smoothed(cfg: CountConfig) -> CountReport:
         nu=cfg.nu,
         phi_scale=cfg.weight.scale,
         cutoff=cfg.cutoff,
-        method=cfg.method,
         measured_T=measured,
         predicted_T0=predicted,
         ratio=measured / predicted,

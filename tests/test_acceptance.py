@@ -22,6 +22,7 @@ from pythmod.circle import (
 )
 from pythmod.counting import (
     CountConfig,
+    _smoothed_triple_loop,
     count_pythagorean,
     count_smoothed,
     predict_dual_terms,
@@ -277,8 +278,6 @@ def test_criterion_10_main_term_ratio():
             modulus=PrimePowerModulus(7, n),
             N=N,
             weight=gaussian(1.0),
-            cutoff=3.5,
-            method="sqrt-bucket",
         )
         rep = count_smoothed(cfg)
         dual = predict_dual_terms(cfg)
@@ -301,10 +300,10 @@ def test_criterion_11_cross_method_determinism():
     w = gaussian(1.0)
     for p, n, N in [(7, 1, 10), (7, 2, 20), (7, 3, 30), (11, 2, 25), (13, 1, 15)]:
         m = PrimePowerModulus(p, n)
-        tl = count_smoothed(CountConfig(m, float(N), w, method="triple-loop")).measured_T
-        sb = count_smoothed(CountConfig(m, float(N), w, method="sqrt-bucket")).measured_T
+        tl = _smoothed_triple_loop(CountConfig(m, float(N), w))
+        sb = count_smoothed(CountConfig(m, float(N), w)).measured_T
         assert abs(tl - sb) <= 1e-6 * abs(tl), (p, n, N)
-        rerun = count_smoothed(CountConfig(m, float(N), w, method="sqrt-bucket")).measured_T
+        rerun = count_smoothed(CountConfig(m, float(N), w)).measured_T
         assert rerun == sb
     elapsed = time.perf_counter() - start
     assert elapsed < 60

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -128,6 +129,19 @@ def test_hensel_examples():
         SolutionTriple(1, 1, 1, M7)
     with pytest.raises(InvalidSolution):
         SolutionTriple(7, 5, 5, M49)  # non-unit coordinate
+
+
+def test_hensel_refuses_large_p():
+    # p^2 = 1018081 lifts, above ENUM_MAX_Q; p = 46337 would be about 2.1e9
+    base = SolutionTriple(3, 4, 5, PrimePowerModulus(1009, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="1018081"):
+            hensel_lift_solution(base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _all_solutions(m):

@@ -1,13 +1,18 @@
 import csv
 import json
+import shlex
 import time
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from pythmod.cli import SWEEP_COLUMNS, main
+from pythmod.counting import CountConfig, _smoothed_triple_loop
+from pythmod.padic import PrimePowerModulus
+from pythmod.weights import gaussian
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +112,11 @@ def test_count_subcommand(capsys, schema, tmp_path):
     out = tmp_path / "report.json"
     code, rec = run_cli(
         capsys, "count", "--p", "7", "--n", "1", "--N", "3",
-        "--method", "triple-loop", "--exact", "--out", str(out),
+        "--phi-scale", "2", "--exact", "--out", str(out),
     )
     assert code == 0
     jsonschema.validate(rec, schema)
-    assert rec["result"]["method"] == "triple-loop"
+    assert rec["result"]["cutoff"] == 7.0
     assert rec["result"]["exact_box_count"] is not None
     on_disk = json.loads(out.read_text())
     assert on_disk == rec
@@ -122,11 +127,9 @@ def test_count_small_prime_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "N,cutoff", [("inf", "3.5"), ("nan", "3.5"), ("1e12", "3.5"), ("10", "inf"), ("10", "nan")]
-)
-def test_count_rejects_nonfinite_and_huge_boxes(capsys, N, cutoff):
-    code = main(["count", "--p", "7", "--n", "2", "--N", N, "--cutoff", cutoff])
+@pytest.mark.parametrize("N", ["inf", "nan", "1e12"])
+def test_count_rejects_nonfinite_and_huge_boxes(capsys, N):
+    code = main(["count", "--p", "7", "--n", "2", "--N", N])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
@@ -142,6 +145,10 @@ def test_count_rejects_nonfinite_and_huge_boxes(capsys, N, cutoff):
         ["poisson", "--s", "1e8"],
         ["count", "--p", "7", "--n", "9", "--N", "142857", "--exact"],
         ["poisson", "--s", "1e-300"],  # at or below the series tolerance 1e-15
+        # s^3 underflows: the main term the ratio divides by would be 0
+        ["count", "--p", "7", "--n", "3", "--N", "10", "--phi-scale", "1e-200"],
+        ["count", "--p", "7", "--n", "3", "--N", "10", "--phi-scale", "1e-300"],
+        ["scan", "--p", "7", "--n", "2..3", "--nu", "0.7", "--phi-scale", "1e-300"],
     ],
 )
 def test_rejects_bad_scales_and_costly_sums(capsys, argv):
@@ -158,12 +165,9 @@ def test_rejects_bad_scales_and_costly_sums(capsys, argv):
 
 
 def test_count_cross_method_agreement(capsys):
-    _, rec1 = run_cli(capsys, "count", "--p", "7", "--n", "1", "--N", "3",
-                      "--method", "triple-loop")
-    _, rec2 = run_cli(capsys, "count", "--p", "7", "--n", "1", "--N", "3",
-                      "--method", "sqrt-bucket")
-    a, b = rec1["result"]["measured_T"], rec2["result"]["measured_T"]
-    assert a == pytest.approx(b, rel=1e-9)
+    _, rec = run_cli(capsys, "count", "--p", "7", "--n", "1", "--N", "3", "--phi-scale", "2")
+    cfg = CountConfig(PrimePowerModulus(7, 1), 3.0, gaussian(2.0))
+    assert rec["result"]["measured_T"] == pytest.approx(_smoothed_triple_loop(cfg), rel=1e-9)
 
 
 def test_missing_flag_exit_2(capsys):
@@ -278,3 +282,15 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "gauss.json").exists()
     assert rec["manifest"]["out"] == str(tmp_path / "gauss.json")
+
+
+def test_readme_command_line_examples(capsys, tmp_path, monkeypatch):
+    """Every `pythmod ...` line of README's "Command line" block exits 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pythmod ")]
+    assert len(commands) == 9
+    monkeypatch.setenv("PYTHMOD_OUT_DIR", str(tmp_path))
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pythmod.counting import (
     CountConfig,
+    _smoothed_triple_loop,
     count_box_exact,
     count_equation_box,
     count_pythagorean,
@@ -26,8 +27,8 @@ from pythmod.weights import gaussian
 W1 = gaussian(1.0)
 
 
-def cfg(p, n, N, **kw):
-    return CountConfig(PrimePowerModulus(p, n), float(N), kw.pop("weight", W1), **kw)
+def cfg(p, n, N, weight=W1):
+    return CountConfig(PrimePowerModulus(p, n), float(N), weight)
 
 
 def test_small_prime_rejected():
@@ -39,15 +40,9 @@ def test_small_prime_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(7, 2, 0.5)
-    with pytest.raises(ValueError):
-        cfg(7, 2, 10, method="fft")
-    with pytest.raises(ValueError):
-        cfg(7, 2, 10, cutoff=1.0)  # below the 1e-12 truncation radius
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="must be finite"):
             cfg(7, 2, bad)
-        with pytest.raises(ValueError, match="must be finite"):
-            cfg(7, 2, 10, cutoff=bad)
 
 
 def test_predict_main_term_examples():
@@ -89,8 +84,8 @@ def test_dual_zero_frequency_is_main_term(p, n, N):
 )
 def test_dual_terms_reproduce_triple_loop(p, n, N, scale):
     # odd and even n, p = 3 mod 4 (7, 11) and p = 1 mod 4 (13)
-    c = cfg(p, n, N, weight=gaussian(scale), cutoff=3.5 * scale, method="triple-loop")
-    measured = count_smoothed(c).measured_T
+    c = cfg(p, n, N, weight=gaussian(scale))
+    measured = _smoothed_triple_loop(c)
     dual = predict_dual_terms(c)
     assert abs(measured - (dual.T0 + dual.T1)) <= 1e-9 * measured
 
@@ -121,7 +116,7 @@ def test_predict_main_term_scaling_laws():
     base = predict_main_term(cfg(7, 3, 50))
     assert predict_main_term(cfg(7, 3, 100)) == pytest.approx(8 * base, rel=1e-12)
     assert predict_main_term(cfg(7, 4, 50)) == pytest.approx(base / 7, rel=1e-12)
-    scaled = predict_main_term(cfg(7, 3, 50, weight=gaussian(2.0), cutoff=6.0))
+    scaled = predict_main_term(cfg(7, 3, 50, weight=gaussian(2.0)))
     assert scaled == pytest.approx(8 * base, rel=1e-12)  # mass s enters cubed
 
 
@@ -130,14 +125,14 @@ def test_predict_main_term_scaling_laws():
     [(7, 1, 3), (7, 2, 10), (7, 3, 25), (11, 2, 20), (13, 1, 8)],
 )
 def test_methods_agree(p, n, N):
-    a = count_smoothed(cfg(p, n, N, method="triple-loop")).measured_T
-    b = count_smoothed(cfg(p, n, N, method="sqrt-bucket")).measured_T
+    a = _smoothed_triple_loop(cfg(p, n, N))
+    b = count_smoothed(cfg(p, n, N)).measured_T
     assert b == pytest.approx(a, rel=1e-6)
 
 
 def test_smoothed_report_fields():
     rep = count_smoothed(cfg(7, 2, 10))
-    assert rep.q == 49 and rep.method == "sqrt-bucket"
+    assert rep.q == 49 and rep.cutoff == 3.5
     assert rep.ratio == pytest.approx(rep.measured_T / rep.predicted_T0)
     assert rep.nu == pytest.approx(math.log(10) / math.log(49))
     assert rep.seconds >= 0
@@ -159,9 +154,9 @@ def test_smoothed_vanishing_weight():
     scale=st.sampled_from([0.5, 1.0, 2.0]),
 )
 def test_bucket_kernel_matches_triple_loop(p, n, N, scale):
-    kw = dict(weight=gaussian(scale), cutoff=3.5 * scale)
-    loop = count_smoothed(cfg(p, n, N, method="triple-loop", **kw)).measured_T
-    fft = count_smoothed(cfg(p, n, N, **kw)).measured_T
+    c = cfg(p, n, N, weight=gaussian(scale))
+    loop = _smoothed_triple_loop(c)
+    fft = count_smoothed(c).measured_T
     # float64 rounding in the FFT reaches a few eps * log2(q) of mass^3, with
     # mass the total box weight; boxes without solutions give loop == 0
     C = math.floor(3.5 * scale * N)
@@ -172,17 +167,21 @@ def test_bucket_kernel_matches_triple_loop(p, n, N, scale):
 
 def test_triple_loop_gate():
     with pytest.raises(TooLarge):
-        count_smoothed(cfg(7, 2, 10**4, method="triple-loop"))
+        _smoothed_triple_loop(cfg(7, 2, 10**4))
 
 
 def test_box_gate_raises_before_allocating():
     m49 = PrimePowerModulus(7, 2)
-    configs = [cfg(7, 2, 1e12), cfg(7, 2, 1e12, method="triple-loop"), cfg(7, 2, 1e308)]
+    configs = [
+        (count_smoothed, cfg(7, 2, 1e12)),
+        (_smoothed_triple_loop, cfg(7, 2, 1e12)),
+        (count_smoothed, cfg(7, 2, 1e308)),
+    ]
     tracemalloc.start()
     try:
-        for c in configs:
+        for count, c in configs:
             with pytest.raises(TooLarge, match="points per axis"):
-                count_smoothed(c)
+                count(c)
         for N in (10**12, 500_000):  # 2 * 500000 + 1 is one point over the bound
             with pytest.raises(TooLarge, match="points per axis"):
                 count_box_exact(m49, N)
