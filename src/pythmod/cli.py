@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -248,6 +249,7 @@ def cmd_transition(args, t0: float) -> int:
     return 0 if res.equal else 3
 
 
+@functools.cache  # one parser per process; --out resolves on each parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pythmod",

@@ -284,20 +284,27 @@ def count_box_exact(m: PrimePowerModulus, N: int) -> int:
 
 def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
     """Exact equation count: x1^2 + x2^2 = x3^2, max |x_i| <= N, all x_i
-    nonzero (and coprime to p when given)."""
+    nonzero (and coprime to p when given).
+
+    Euclid: the primitive triples are (m^2 - n^2, 2mn, m^2 + n^2) with
+    coprime m > n of opposite parity; each multiple with k (m^2 + n^2) <= N
+    counts 16 times (2 orders of the legs, 4 signs of (x1, x2), 2 of x3).
+    """
     total = 0
-    for x3 in range(1, N + 1):
-        if coprime_to is not None and x3 % coprime_to == 0:
-            continue
-        for a in range(1, x3):
-            if coprime_to is not None and a % coprime_to == 0:
+    for m in range(2, math.isqrt(N) + 1):
+        for n in range(m % 2 + 1, m, 2):
+            c = m * m + n * n
+            if c > N:
+                break
+            if math.gcd(m, n) != 1:
                 continue
-            b2 = x3 * x3 - a * a
-            b = math.isqrt(b2)
-            if b >= 1 and b * b == b2:
-                if coprime_to is None or b % coprime_to != 0:
-                    total += 1
-    return 8 * total  # 4 sign choices for (x1, x2), 2 for x3
+            a, b = m * m - n * n, 2 * m * n
+            total += sum(
+                1 for k in range(1, N // c + 1)
+                if coprime_to is None
+                or (k * a % coprime_to and k * b % coprime_to and k * c % coprime_to)
+            )
+    return 16 * total
 
 
 class TransitionResult(NamedTuple):

@@ -95,35 +95,67 @@ def _inv_mod_p(p: int) -> np.ndarray:
     return inv
 
 
-def _inv_unit_vec(a: np.ndarray, m: PrimePowerModulus, seed=None) -> np.ndarray:
-    """Inverses mod q of the units in a: x <- x (2 - a x) doubles the p-adic
-    precision of x, from seed (inverses mod p that broadcast to a) or a table."""
-    x, t = np.empty_like(a), np.empty_like(a)
-    x[...] = _inv_mod_p(m.p)[a % m.p] if seed is None else seed
-    for _ in range((m.n - 1).bit_length()):  # ceil(log2 n) steps
+def _newton_lift(a: np.ndarray, x: np.ndarray, mod: int, steps: int) -> np.ndarray:
+    """x <- x (2 - a x) mod `mod`, in place, `steps` times: each step doubles
+    the p-adic precision of x as an inverse of a."""
+    t = np.empty_like(x)
+    for _ in range(steps):
         np.multiply(a, x, out=t)
-        t %= m.q
+        t %= mod
         np.subtract(2, t, out=t)
         x *= t
-        x %= m.q
+        x %= mod
     return x
+
+
+def _inv_table(m: PrimePowerModulus) -> np.ndarray:
+    """u^-1 mod p^k at index u < p^k (0 at non-units), k = ceil(n/2): the
+    inverses mod p, tiled, then ceil(log2 k) Newton steps over the
+    p^k <= sqrt(q p) entries."""
+    k = (m.n + 1) // 2
+    inv = _inv_mod_p(m.p)
+    if k == 1:
+        return inv
+    pk = m.p**k
+    a = np.arange(pk, dtype=np.int64)
+    return _newton_lift(a, np.tile(inv, pk // m.p), pk, (k - 1).bit_length())
+
+
+def _inv_unit_vec(a: np.ndarray, m: PrimePowerModulus, table=None) -> np.ndarray:
+    """Inverses mod q of the units in a: the inverse mod p^k from table (from
+    _inv_table when None), then one Newton step to p^2k >= q."""
+    table = _inv_table(m) if table is None else table
+    x = table[a % len(table)]
+    return x if len(table) == m.q else _newton_lift(a, x, m.q, 1)
+
+
+def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(s, hi, lo) with e_q(z) = hi[z >> s] * lo[z & (2^s - 1)] for 0 <= z < q,
+    s = ceil(bitlen(q) / 2): about sqrt(q) entries each, one np.exp each."""
+    s = (q.bit_length() + 1) // 2
+    lo = np.exp(TWO_PI * 1j / q * np.arange(1 << s))
+    hi = np.exp(TWO_PI * 1j / q * (np.arange(((q - 1) >> s) + 1) << s))
+    return s, hi, lo
 
 
 def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> np.ndarray:
     """Sums of e_q(f(x)) over x = alpha mod p, x in [1, q], for each alpha in an
     int64 array (den(alpha) a unit), a class a row, CLASS_BLOCK terms at a time.
-    Exact residues up to the single exp; den(x) = den(alpha) mod p seeds the
-    inverse. A row sums pairwise, as np.sum does a 1-D array."""
+    Exact residues up to the root tables, which, like the inverse table, are
+    built once per call. A row sums pairwise, as np.sum does a 1-D array."""
     p, q = m.p, m.q
-    seeds = _inv_mod_p(p)[_poly_eval_mod_vec(f.den, alphas, p)]
+    inv = _inv_table(m)
+    s, hi, lo = _root_tables(q)
     rows = max(1, CLASS_BLOCK * p // q)
     out = np.empty(len(alphas), dtype=complex)
     for i in range(0, len(alphas), rows):
         xs = alphas[i : i + rows, None] + np.arange(0, q, p, dtype=np.int64)
-        z = _inv_unit_vec(_poly_eval_mod_vec(f.den, xs, q), m, seeds[i : i + rows, None])
+        z = _inv_unit_vec(_poly_eval_mod_vec(f.den, xs, q), m, inv)
         z *= _poly_eval_mod_vec(f.num, xs, q)
         z %= q
-        out[i : i + rows] = np.exp(TWO_PI * 1j * z / q).sum(axis=1)
+        e = hi[z >> s]
+        e *= lo[z & (len(lo) - 1)]
+        out[i : i + rows] = e.sum(axis=1)
     return out
 
 

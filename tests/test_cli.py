@@ -284,6 +284,22 @@ def test_out_dir_env_var(capsys, tmp_path, monkeypatch):
     assert rec["manifest"]["out"] == str(tmp_path / "gauss.json")
 
 
+def test_one_parser_serves_successive_calls(capsys, tmp_path, monkeypatch):
+    # the parser is built once per process: parses must not leak into each
+    # other, and --out resolves against $PYTHMOD_OUT_DIR as it is at each call
+    code, rec = run_cli(capsys, "gauss", "--q", "9")
+    assert code == 0 and rec["manifest"]["params"] == {"q": 9, "out": None, "subcommand": "gauss"}
+    code, rec = run_cli(capsys, "triples", "--N", "5")
+    assert code == 0 and rec["result"]["count"] == 57
+    assert rec["manifest"]["params"] == {"N": 5, "out": None, "subcommand": "triples"}
+    for name in ("a", "b"):
+        monkeypatch.setenv("PYTHMOD_OUT_DIR", str(tmp_path / name))
+        (tmp_path / name).mkdir()
+        code, rec = run_cli(capsys, "gauss", "--q", "9", "--out", "g.json")
+        assert code == 0 and rec["manifest"]["out"] == str(tmp_path / name / "g.json")
+        assert (tmp_path / name / "g.json").exists()
+
+
 def test_readme_command_line_examples(capsys, tmp_path, monkeypatch):
     """Every `pythmod ...` line of README's "Command line" block exits 0."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

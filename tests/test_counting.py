@@ -235,6 +235,29 @@ def test_transition_examples():
         transition_check(PrimePowerModulus(7, 2), 10)  # 10 >= sqrt(24.5)
 
 
+def _equation_box_loop(N, coprime_to=None):
+    """Scalar oracle: every (x3, a) with a < x3 <= N and isqrt for the other leg."""
+    total = 0
+    for x3 in range(1, N + 1):
+        if coprime_to is not None and x3 % coprime_to == 0:
+            continue
+        for a in range(1, x3):
+            if coprime_to is not None and a % coprime_to == 0:
+                continue
+            b2 = x3 * x3 - a * a
+            b = math.isqrt(b2)
+            if b >= 1 and b * b == b2:
+                if coprime_to is None or b % coprime_to != 0:
+                    total += 1
+    return 8 * total  # 4 sign choices for (x1, x2), 2 for x3
+
+
+@pytest.mark.parametrize("coprime_to", [None, 5, 7, 13])
+def test_count_equation_box_matches_scalar_loop(coprime_to):
+    for N in range(151):
+        assert count_equation_box(N, coprime_to) == _equation_box_loop(N, coprime_to), N
+
+
 def _r2_brute(m):
     count = 0
     a = 0

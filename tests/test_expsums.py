@@ -19,6 +19,7 @@ from pythmod.errors import (
 from pythmod.expsums import (
     ExpSumSpec,
     _inv_unit_vec,
+    _root_tables,
     additive_character,
     canonical_sqrt,
     circle_exponential_sum,
@@ -36,6 +37,7 @@ from pythmod.expsums import (
     stationary_phase_identity,
     stationary_points,
 )
+import pythmod.expsums as expsums
 from pythmod.padic import Poly, PrimePowerModulus, RationalFunction, jacobi_symbol
 from pythmod.weights import gaussian
 
@@ -391,17 +393,33 @@ def test_circle_exponential_sum_gates():
 
 
 def test_inv_unit_vec_matches_pow():
-    for p, n in [(5, 4), (7, 3), (11, 2), (13, 2), (10007, 1)]:
+    # odd and even n, and n = 1, where the table mod p^ceil(n/2) is all of q
+    cases = [(7, n) for n in range(1, 7)] + [(5, n) for n in range(1, 7)]
+    for p, n in cases + [(11, 2), (13, 2), (10007, 1)]:
         m = PrimePowerModulus(p, n)
         units = [u for u in range(1, m.q) if u % p]
         got = _inv_unit_vec(np.array(units, dtype=np.int64), m)
         assert got.tolist() == [pow(u, -1, m.q) for u in units], (p, n)
     rng = random.Random(616)
-    for p, n in [(7, 8), (31, 6)]:
+    for p, n in [(7, 7), (7, 8), (7, 9), (31, 6), (3137, 2)]:
         m = PrimePowerModulus(p, n)
         units = [u for u in (rng.randrange(1, m.q) for _ in range(10**4)) if u % p]
         got = _inv_unit_vec(np.array(units, dtype=np.int64), m)
         assert got.tolist() == [pow(u, -1, m.q) for u in units], (p, n)
+
+
+@pytest.mark.parametrize("q", [7**4, 7**8, 9999991])
+def test_root_tables_match_exp(q):
+    s, hi, lo = _root_tables(q)
+    assert len(lo) == 2**s and len(hi) == (q - 1) // 2**s + 1
+    assert len(lo) <= 4096 and len(hi) <= 2442
+    if q < 10**4:
+        z = np.arange(q, dtype=np.int64)
+    else:
+        z = np.random.default_rng(q).integers(0, q, 10**6)
+        z[:2] = 0, q - 1
+    got = hi[z >> s] * lo[z & (2**s - 1)]
+    assert np.abs(got - np.exp(2j * np.pi * z / q)).max() <= 4e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -419,10 +437,14 @@ def test_circle_bruteforce_matches_scalar_loop(p, n, k1, k2, x3):
     check_circle_bruteforce_by_scalar_loop(k1, k2, x3, PrimePowerModulus(p, n))
 
 
-def test_circle_bruteforce_blocks_of_short_classes():
+def test_circle_bruteforce_blocks_of_short_classes(monkeypatch):
     # 516 admissible classes of 521 terms go 125 to a block: five blocks,
-    # the last one short
+    # the last one short; the inverse table is built once for all of them
+    calls = []
+    inv_mod_p = expsums._inv_mod_p
+    monkeypatch.setattr(expsums, "_inv_mod_p", lambda p: calls.append(p) or inv_mod_p(p))
     check_circle_bruteforce_by_scalar_loop(123456, 7890, 3, PrimePowerModulus(521, 2))
+    assert calls == [521]
 
 
 def check_circle_bruteforce_by_scalar_loop(k1, k2, x3, m):
