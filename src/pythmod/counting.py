@@ -5,11 +5,12 @@ weight of the units x with x^2 = c mod q, and takes T = <S * S, S> with
 one real FFT self-convolution mod q: O(q log q + cutoff*N).  A direct
 triple loop at O((cutoff*N)^3) is the tests' oracle for it.  One integer
 square-class counter gives the exact sharp-box count and the dual-side
-count; above modulus 2L^2 the dual side counts ordinary Pythagorean
-triples with a multiplicative sieve for r2(m^2).  predict_dual_terms
-evaluates the smoothed count a third way, as an exact Poisson expansion
-over closed-form Gauss sums with one DFT per p-adic level, and splits it
-into the main term and the dual terms.
+count.  One walk over Euclid's primitive triples counts the ordinary
+Pythagorean triples of the transition regime and of the dual side above
+modulus 2L^2.  predict_dual_terms evaluates the smoothed count a third
+way, as an exact Poisson expansion over closed-form Gauss sums with one
+DFT per p-adic level, and splits it into the main term and the dual
+terms.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from .circle import excluded_param_count
 from .errors import RangeViolation, SmallPrime, TooLarge
 from .expsums import _inv_unit_vec, gauss_sum_closed
-from .padic import PrimePowerModulus
+from .padic import PrimePowerModulus, is_prime
 from .weights import WeightSpec, _box_radius
 
 TRIPLE_LOOP_MAX_CELLS = 10**9
@@ -194,9 +195,9 @@ def predict_dual_terms(cfg: CountConfig) -> DualTerms:
     _dual_gate(q, K)
     coef = w.fourier(np.arange(K + 1) * N / q)
     coef[1:] *= 2  # g(a, -k) = g(a, k) and the weight is even
-    scale = (N / q) ** 3 / q
-    T0 = scale * _cube_sum(_dual_sums(m, coef[:1]))
-    return DualTerms(T0, scale * _cube_sum(_dual_sums(m, coef)) - T0)
+    T = (N / q) ** 3 / q * _cube_sum(_dual_sums(m, coef))
+    T0 = predict_main_term(cfg)
+    return DualTerms(T0, T - T0)
 
 
 def _unit_box(p: int, bound: int) -> np.ndarray:
@@ -284,12 +285,22 @@ def count_box_exact(m: PrimePowerModulus, N: int) -> int:
 
 def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
     """Exact equation count: x1^2 + x2^2 = x3^2, max |x_i| <= N, all x_i
-    nonzero (and coprime to p when given).
+    nonzero (and coprime to the prime coprime_to when given).
 
     Euclid: the primitive triples are (m^2 - n^2, 2mn, m^2 + n^2) with
     coprime m > n of opposite parity; each multiple with k (m^2 + n^2) <= N
     counts 16 times (2 orders of the legs, 4 signs of (x1, x2), 2 of x3).
+    Of the K = N // c multiples of a primitive triple (a, b, c), K - K // p
+    are coprime to the prime p when p divides none of a, b, c, and none
+    otherwise: O(1) work per primitive triple.  Raises TooLarge above
+    PYTH_MAX_N.
     """
+    if N < 0:
+        raise ValueError(f"N = {N} must be nonnegative")
+    if N > PYTH_MAX_N:
+        raise TooLarge(f"N = {N} above the walk bound {PYTH_MAX_N}")
+    if coprime_to is not None and not is_prime(coprime_to):
+        raise ValueError(f"coprime_to = {coprime_to} must be a prime")
     total = 0
     for m in range(2, math.isqrt(N) + 1):
         for n in range(m % 2 + 1, m, 2):
@@ -298,12 +309,11 @@ def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
                 break
             if math.gcd(m, n) != 1:
                 continue
-            a, b = m * m - n * n, 2 * m * n
-            total += sum(
-                1 for k in range(1, N // c + 1)
-                if coprime_to is None
-                or (k * a % coprime_to and k * b % coprime_to and k * c % coprime_to)
-            )
+            K = N // c
+            if coprime_to is None:
+                total += K
+            elif (m * m - n * n) * 2 * m * n * c % coprime_to:
+                total += K - K // coprime_to
     return 16 * total
 
 
@@ -365,30 +375,10 @@ def r2(m: int) -> int:
 def count_pythagorean(N: int) -> int:
     """Number of integer triples with x1^2 + x2^2 = x3^2 and |x3| <= N.
 
-    Computed as 1 + 2 * sum over m <= N of r2(m^2); the exponent of a
-    prime 1 mod 4 in m^2 is twice its exponent e in m, giving the factor
-    2e + 1.  A multiplicative sieve builds f[m] = prod (2e + 1) in place.
-    Grows like (8/pi) N log N.
+    The origin, the 8N triples with a zero leg, and count_equation_box(N),
+    which raises for N < 0 and N > PYTH_MAX_N.  Grows like (8/pi) N log N.
     """
-    if N < 0:
-        raise ValueError(f"N = {N} must be nonnegative")
-    if N > PYTH_MAX_N:
-        raise TooLarge(f"N = {N} above the sieve bound {PYTH_MAX_N}")
-    prime = np.ones(N + 1, dtype=bool)
-    prime[:2] = False
-    for i in range(2, math.isqrt(N) + 1):
-        if prime[i]:
-            prime[i * i :: i] = False
-    f = np.ones(N + 1, dtype=np.int16)  # at most 405 for N <= PYTH_MAX_N
-    for p in (np.flatnonzero(prime[1::4]) * 4 + 1).tolist():
-        pe, e = p, 1
-        while pe <= N:
-            # multiples of p^e: the factor 2e - 1 from p becomes 2e + 1
-            view = f[pe::pe]
-            view //= 2 * e - 1
-            view *= 2 * e + 1
-            pe, e = pe * p, e + 1
-    return 1 + 8 * int(f[1:].sum(dtype=np.int64))  # r2(m^2) = 4 f[m], each m twice
+    return 1 + 8 * N + count_equation_box(N)
 
 
 def dual_triple_count(L: int, modulus: int) -> int:

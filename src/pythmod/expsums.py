@@ -421,8 +421,10 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
     if mode == "bruteforce":
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-        t = np.arange(m.p, dtype=np.int64)  # admissible: t - t^5 = t(1-t^2)(1+t^2) a unit
-        admissible = np.flatnonzero(_poly_eval_mod_vec(Poly([0, 1, 0, 0, 0, -1]), t, m.p))
+        # t is admissible when t(1-t^2)(1+t^2) is a unit: t^2 is not 0 or +-1 mod p
+        sq = np.arange(m.p, dtype=np.int64) ** 2 % m.p
+        admissible = np.flatnonzero((sq != 0) & (sq != 1) & (sq != m.p - 1))
+        del sq  # p entries: not held while the classes are summed
         return complex(_class_sums(f, admissible, m).sum())
     if mode == "closed":
         if spec.r > m.n - 2:

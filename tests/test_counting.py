@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pythmod.counting import (
+    PYTH_MAX_N,
     CountConfig,
     _smoothed_triple_loop,
     count_box_exact,
@@ -66,8 +68,13 @@ def test_unit_gauss_sums_match_brute(p, n):
 
 @pytest.mark.parametrize("p,n,N", [(7, 3, 60), (7, 4, 233), (11, 3, 200), (13, 2, 40)])
 def test_dual_zero_frequency_is_main_term(p, n, N):
+    # the k = 0 term of the Poisson expansion, from the closed Gauss sums
     c = cfg(p, n, N)
-    assert predict_dual_terms(c).T0 == pytest.approx(predict_main_term(c), rel=1e-12)
+    m, q = c.modulus, c.modulus.q
+    g = unit_gauss_sums(m, 0)
+    minus = g[(-np.arange(q)) % q]
+    k0 = (N * c.weight.fourier_at_zero / q) ** 3 / q * np.sum(g * g * minus).real
+    assert k0 == pytest.approx(predict_main_term(c), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +259,7 @@ def _equation_box_loop(N, coprime_to=None):
     return 8 * total  # 4 sign choices for (x1, x2), 2 for x3
 
 
-@pytest.mark.parametrize("coprime_to", [None, 5, 7, 13])
+@pytest.mark.parametrize("coprime_to", [None, 3, 5, 7, 11, 13])
 def test_count_equation_box_matches_scalar_loop(coprime_to):
     for N in range(151):
         assert count_equation_box(N, coprime_to) == _equation_box_loop(N, coprime_to), N
@@ -306,18 +313,41 @@ def test_count_pythagorean_examples():
 
 
 def test_count_pythagorean_brute_oracle():
-    # 25, 125, 169 and 289 are the prime-power edges of the sieve
+    # 25, 125, 169 and 289 are prime powers: the hypotenuse of a primitive
+    # triple and of multiples of smaller ones
     for N in (0, 1, 2, 3, 5, 17, 25, 100, 125, 169, 289, 345, 500):
         assert count_pythagorean(N) == _pyth_brute(N), N
 
 
 def test_count_pythagorean_is_r2_prefix_sum():
-    # r2 factors by trial division and shares no code with the sieve
+    # r2 factors by trial division and shares no code with Euclid's walk
     total = 1
     for N in range(0, 1001):
         if N:
             total += 2 * r2(N * N)
         assert count_pythagorean(N) == total, N
+
+
+def test_count_pythagorean_pinned_values():
+    # the values of the earlier sieve over the primes 1 mod 4
+    assert count_pythagorean(10**4) == 279537
+    assert count_pythagorean(10**6) == 39690273
+    assert count_pythagorean(PYTH_MAX_N) == 455543601
+
+
+def test_pythagorean_walk_gates():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="walk bound"):
+        count_pythagorean(PYTH_MAX_N + 1)
+    with pytest.raises(TooLarge, match="walk bound"):
+        count_equation_box(10**12)
+    assert time.perf_counter() - start < 0.1  # the walk to PYTH_MAX_N takes 0.5 s
+    for bad in (count_pythagorean, count_equation_box):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bad(-1)
+    for not_prime in (1, 15, 49):
+        with pytest.raises(ValueError, match="must be a prime"):
+            count_equation_box(100, coprime_to=not_prime)
 
 
 def test_count_pythagorean_monotone():

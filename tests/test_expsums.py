@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pythmod.circle import enumerate_admissible_t
+from pythmod.circle import enumerate_admissible_t, is_admissible_param
 from pythmod.errors import (
     DenominatorNotUnit,
     HypothesisViolated,
@@ -445,6 +445,16 @@ def test_circle_bruteforce_blocks_of_short_classes(monkeypatch):
     monkeypatch.setattr(expsums, "_inv_mod_p", lambda p: calls.append(p) or inv_mod_p(p))
     check_circle_bruteforce_by_scalar_loop(123456, 7890, 3, PrimePowerModulus(521, 2))
     assert calls == [521]
+
+
+@pytest.mark.parametrize("p", [7, 13, 3137])
+def test_circle_bruteforce_admissible_classes(monkeypatch, p):
+    # the classes mod p handed to the class sums are exactly the admissible ones
+    m = PrimePowerModulus(p, 2)
+    seen = []
+    monkeypatch.setattr(expsums, "_class_sums", lambda f, alphas, mod: seen.append(alphas) or alphas)
+    circle_exponential_sum(ExpSumSpec(1, 2, 3, m), "bruteforce")
+    assert seen[0].tolist() == [t for t in range(p) if is_admissible_param(t, m)]
 
 
 def check_circle_bruteforce_by_scalar_loop(k1, k2, x3, m):
