@@ -33,7 +33,7 @@ from .padic import (
 )
 
 BRUTE_MAX_Q = 10**7
-CLASS_BLOCK = 2**16  # terms per block of residue classes in the brute force
+BRUTE_BLOCK = 2**14  # terms per block of the brute force's (class, j) grid
 GAUSS_MAX_Q = 10**6
 
 TWO_PI = 2.0 * math.pi
@@ -73,60 +73,94 @@ def phase_function(k1: int, k2: int, x3: int) -> RationalFunction:
     return RationalFunction(Poly([x3 * k1, 2 * x3 * k2, -x3 * k1]), Poly([1, 0, 1]))
 
 
-def _poly_eval_mod_vec(poly: Poly, xs: np.ndarray, q: int) -> np.ndarray:
-    """Horner evaluation mod q, in place; intermediates stay below q^2 < 2^63."""
-    acc = np.full_like(xs, poly.coeffs[-1] % q if poly.coeffs else 0)
-    for c in reversed(poly.coeffs[:-1]):
-        acc *= xs
-        acc += c % q
-        acc %= q
-    return acc
+def _fmod(a: np.ndarray, q: int, t: np.ndarray) -> np.ndarray:
+    """a mod q, in place, for a float64 array a of integers |a| <= q^2 + q:
+    a - q * floor((a + 0.5) * fl(1/q)), with t a scratch array of a's shape.
+
+    Exact while q (q + 2) < 2^51. Every integer below 2^52 and every
+    half-integer a + 0.5 is a float64. The two roundings, of 1/q and of
+    the product, leave the quotient within (q + 2) 2^-52 of (a + 0.5)/q,
+    whose distance to the nearest integer is at least 0.5/q. So the floor
+    is floor(a/q) exactly, and so are q times it and the difference."""
+    np.add(a, 0.5, out=t)
+    t *= 1.0 / q
+    np.floor(t, out=t)
+    t *= q
+    a -= t
+    return a
+
+
+def _horner(poly: Poly, x: np.ndarray, q: int, acc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """poly(x) mod q into acc, for float64 residues 0 <= x < q broadcast to
+    acc's shape: Horner, reduced by _fmod where the next product could pass
+    q^2, and at the end; t is scratch."""
+    cs = [c % q for c in reversed(poly.coeffs)] or [0]
+    acc.fill(cs[0])
+    top = cs[0]  # acc <= top
+    for c in cs[1:]:
+        if top >= q:
+            _fmod(acc, q, t)
+            top = q - 1
+        acc *= x
+        top *= q - 1
+        if c:
+            acc += c
+            top += c
+    return _fmod(acc, q, t) if top >= q else acc
+
+
+def _newton_step(a: np.ndarray, x: np.ndarray, q: int, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out = x (2 - a x) mod q, for float64 residues: if x inverts a mod p^j,
+    out inverts it mod p^2j. out and t have the broadcast shape of a and x;
+    out must not be x."""
+    np.multiply(a, x, out=t)
+    _fmod(t, q, out)
+    np.subtract(2, t, out=t)
+    np.multiply(x, t, out=out)
+    return _fmod(out, q, t)
 
 
 def _inv_mod_p(p: int) -> np.ndarray:
-    """u^-1 mod p at index u (0 at 0): with p = k u + r, u^-1 = -k r^-1, and
-    the block of u with p // u = k has every r below it: O(sqrt(p)) steps."""
-    inv, u0 = np.zeros(p, dtype=np.int64), 2
+    """u^-1 mod p at index u (0 at 0), float64: with p = k u + r, u^-1 =
+    -k r^-1, and the run of u with p // u = k has every r below it, so
+    O(sqrt(p)) runs. Each run is cut into pieces of BRUTE_BLOCK, so that
+    no temporary grows with p (the run of k = 1 alone is p/2 long)."""
+    inv, u0 = np.zeros(p), 2
     inv[1] = 1
     while u0 < p:
-        u = np.arange(u0, min(p // (p // u0) + 1, p), dtype=np.int64)
-        inv[u] = (p - p // u0) * inv[p % u] % p
-        u0 = u[-1] + 1
+        k = p // u0
+        u = np.arange(u0, min(p // k + 1, p, u0 + BRUTE_BLOCK), dtype=np.int64)
+        v = inv[p - k * u]
+        v *= p - k
+        inv[u] = _fmod(v, p, np.empty_like(v))
+        u0 = int(u[-1]) + 1
     return inv
 
 
-def _newton_lift(a: np.ndarray, x: np.ndarray, mod: int, steps: int) -> np.ndarray:
-    """x <- x (2 - a x) mod `mod`, in place, `steps` times: each step doubles
-    the p-adic precision of x as an inverse of a."""
-    t = np.empty_like(x)
-    for _ in range(steps):
-        np.multiply(a, x, out=t)
-        t %= mod
-        np.subtract(2, t, out=t)
-        x *= t
-        x %= mod
-    return x
-
-
 def _inv_table(m: PrimePowerModulus) -> np.ndarray:
-    """u^-1 mod p^k at index u < p^k (0 at non-units), k = ceil(n/2): the
-    inverses mod p, tiled, then ceil(log2 k) Newton steps over the
+    """u^-1 mod p^k at index u < p^k (0 at non-units), k = ceil(n/2), float64:
+    the inverses mod p, tiled, then ceil(log2 k) Newton steps over the
     p^k <= sqrt(q p) entries."""
     k = (m.n + 1) // 2
     inv = _inv_mod_p(m.p)
     if k == 1:
         return inv
     pk = m.p**k
-    a = np.arange(pk, dtype=np.int64)
-    return _newton_lift(a, np.tile(inv, pk // m.p), pk, (k - 1).bit_length())
+    a = np.arange(pk, dtype=float)
+    inv = np.tile(inv, pk // m.p)
+    for _ in range((k - 1).bit_length()):
+        inv = _newton_step(a, inv, pk, np.empty(pk), np.empty(pk))
+    return inv
 
 
-def _inv_unit_vec(a: np.ndarray, m: PrimePowerModulus, table=None) -> np.ndarray:
-    """Inverses mod q of the units in a: the inverse mod p^k from table (from
-    _inv_table when None), then one Newton step to p^2k >= q."""
-    table = _inv_table(m) if table is None else table
+def _inv_unit_vec(a: np.ndarray, m: PrimePowerModulus) -> np.ndarray:
+    """Inverses mod q, as int64, of the units in the int64 array a: the
+    inverse mod p^ceil(n/2) from _inv_table, then one Newton step."""
+    table = _inv_table(m)
     x = table[a % len(table)]
-    return x if len(table) == m.q else _newton_lift(a, x, m.q, 1)
+    if len(table) < m.q:
+        x = _newton_step((a % m.q).astype(float), x, m.q, np.empty_like(x), np.empty_like(x))
+    return x.astype(np.int64)
 
 
 def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
@@ -138,25 +172,59 @@ def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     return s, hi, lo
 
 
-def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> np.ndarray:
-    """Sums of e_q(f(x)) over x = alpha mod p, x in [1, q], for each alpha in an
-    int64 array (den(alpha) a unit), a class a row, CLASS_BLOCK terms at a time.
-    Exact residues up to the root tables, which, like the inverse table, are
-    built once per call. A row sums pairwise, as np.sum does a 1-D array."""
+def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> complex:
+    """Sum of e_q(f(x)) over the classes x = alpha mod p, x in [1, q], of the
+    alphas in an integer array (den(alpha) a unit): termwise, in exact residues.
+
+    Residues are integers held in float64. A product of two residues plus
+    a residue is at most q^2 + q, where _fmod reduces exactly while
+    q (q + 2) < 2^51. The inverse of den(x) is read from a table mod p^k,
+    k = ceil(n/2), at den(x) mod p^k, then lifted by one Newton step to
+    p^2k >= q. den(x) mod p^k depends only on x mod p^k, which runs through
+    p^(k-1) values along a class, so the table is read once per class and
+    the result broadcast. The table is built once per call, unless the sum
+    needs fewer than p^k / 64 of those reads: one pow call costs about as
+    much as 60 table entries at p = 10^7. e_q(z) is the product of two
+    entries of the root tables. The grid of x = alpha + p j is walked in
+    blocks of about BRUTE_BLOCK terms, several short classes or part of a
+    long one, through buffers allocated once per call; each block sums
+    pairwise, as np.sum does."""
     p, q = m.p, m.q
-    inv = _inv_table(m)
+    pk = p ** ((m.n + 1) // 2)
+    L, P = q // p, pk // p  # terms per class; period of x mod p^k along a class
+    inv = _inv_table(m) if 64 * len(alphas) * P >= pk else None
     s, hi, lo = _root_tables(q)
-    rows = max(1, CLASS_BLOCK * p // q)
-    out = np.empty(len(alphas), dtype=complex)
+    cols = min(L, BRUTE_BLOCK // P * P)  # a multiple of P
+    rows = max(1, BRUTE_BLOCK // L)
+    x, d, y, t = (np.empty(rows * cols) for _ in range(4))
+    e, e_lo = np.empty(rows * cols, dtype=complex), np.empty(rows * cols, dtype=complex)
+    pj = p * np.arange(cols, dtype=float)
+    total = 0j
     for i in range(0, len(alphas), rows):
-        xs = alphas[i : i + rows, None] + np.arange(0, q, p, dtype=np.int64)
-        z = _inv_unit_vec(_poly_eval_mod_vec(f.den, xs, q), m, inv)
-        z *= _poly_eval_mod_vec(f.num, xs, q)
-        z %= q
-        e = hi[z >> s]
-        e *= lo[z & (len(lo) - 1)]
-        out[i : i + rows] = e.sum(axis=1)
-    return out
+        a = alphas[i : i + rows, None].astype(float)
+        r = len(a)
+        d0 = _horner(f.den, a + pj[:P], pk, np.empty((r, P)), np.empty((r, P)))
+        if inv is None:
+            y0 = np.array([pow(int(v), -1, pk) for v in d0.flat], dtype=float)
+        else:
+            y0 = inv[d0.astype(np.intp)]
+        y0 = y0.reshape(r, 1, P)
+        for c0 in range(0, L, cols):
+            size = r * min(cols, L - c0)
+            xb, db, yb, tb = (b[:size].reshape(r, -1, P) for b in (x, d, y, t))
+            np.add(a[:, :, None] + p * c0, pj[: size // r].reshape(1, -1, P), out=xb)
+            if pk < q:
+                _newton_step(_horner(f.den, xb, q, db, tb), y0, q, yb, tb)
+            else:
+                yb = y0
+            _horner(f.num, xb, q, db, tb)
+            db *= yb
+            z = _fmod(db, q, tb).reshape(-1).astype(np.int64)
+            np.take(hi, z >> s, out=e[:size], mode="clip")
+            np.take(lo, z & (len(lo) - 1), out=e_lo[:size], mode="clip")
+            e[:size] *= e_lo[:size]
+            total += complex(e[:size].sum())
+    return total
 
 
 def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> complex:
@@ -165,7 +233,7 @@ def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> 
         raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
     if f.den.eval_mod(alpha, m.p) == 0:
         raise DenominatorNotUnit(f"denominator vanishes mod {m.p} at {alpha}")
-    return complex(_class_sums(f, np.array([alpha % m.p]), m)[0])
+    return _class_sums(f, np.array([alpha % m.p]), m)
 
 
 def _stripped(poly: Poly, p: int) -> Tuple[Poly, int]:
@@ -422,10 +490,13 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
         # t is admissible when t(1-t^2)(1+t^2) is a unit: t^2 is not 0 or +-1 mod p
-        sq = np.arange(m.p, dtype=np.int64) ** 2 % m.p
-        admissible = np.flatnonzero((sq != 0) & (sq != 1) & (sq != m.p - 1))
-        del sq  # p entries: not held while the classes are summed
-        return complex(_class_sums(f, admissible, m).sum())
+        sq = np.arange(m.p, dtype=np.int64)
+        sq *= sq
+        sq %= m.p
+        mask = (sq != 0) & (sq != 1) & (sq != m.p - 1)
+        del sq  # p int64 entries: not held while the classes are summed
+        admissible = np.arange(m.p, dtype=np.int32)[mask]  # p < 2^31
+        return _class_sums(f, admissible, m)
     if mode == "closed":
         if spec.r > m.n - 2:
             raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")

@@ -16,8 +16,12 @@ from pythmod.errors import (
     TooLarge,
     UnitRequired,
 )
+from pythmod.counting import DUAL_MAX_ENTRIES
 from pythmod.expsums import (
+    BRUTE_BLOCK,
+    BRUTE_MAX_Q,
     ExpSumSpec,
+    _fmod,
     _inv_unit_vec,
     _root_tables,
     additive_character,
@@ -38,7 +42,7 @@ from pythmod.expsums import (
     stationary_points,
 )
 import pythmod.expsums as expsums
-from pythmod.padic import Poly, PrimePowerModulus, RationalFunction, jacobi_symbol
+from pythmod.padic import Poly, PrimePowerModulus, RationalFunction, is_prime, jacobi_symbol
 from pythmod.weights import gaussian
 
 M7_2 = PrimePowerModulus(7, 2)
@@ -118,14 +122,58 @@ def test_residue_class_sum_matches_naive_loop():
         alpha = rng.randrange(0, p)
         if f.den.eval_mod(alpha, p) == 0:
             continue
-        naive = 0j
-        for x in range(alpha % p, m.q, p):
-            num = f.num.eval_mod(x, m.q)
-            den = f.den.eval_mod(x, m.q)
-            z = num * pow(den, -1, m.q) % m.q
-            naive += cmath.exp(2j * math.pi * z / m.q)
         got = residue_class_sum(f, alpha, m)
-        assert abs(got - naive) <= 1e-10 * math.sqrt(m.q)
+        assert abs(got - class_sum_by_scalar_loop(f, alpha, m)) <= 1e-10 * math.sqrt(m.q)
+
+
+def class_sum_by_scalar_loop(f, alpha, m):
+    naive = 0j
+    for x in range(alpha % m.p, m.q, m.p):
+        num = f.num.eval_mod(x, m.q)
+        den = f.den.eval_mod(x, m.q)
+        z = num * pow(den, -1, m.q) % m.q
+        naive += cmath.exp(2j * math.pi * z / m.q)
+    return naive
+
+
+def test_residue_class_sum_split_into_blocks_matches_scalar_loop():
+    # one class at 7^7 has 7^6 terms: seven full blocks and a short one
+    m = PrimePowerModulus(7, 7)
+    assert m.q // 7 > 7 * BRUTE_BLOCK
+    f = phase_function(123456, 654321, 3)
+    got = residue_class_sum(f, 2, m)
+    assert abs(got - class_sum_by_scalar_loop(f, 2, m)) <= 1e-10 * math.sqrt(m.q)
+
+
+def test_residue_class_sum_general_phases_match_scalar_loop():
+    # numerators and denominators of degree up to 5 with large and negative
+    # coefficients, where Horner must reduce at every step
+    rng = random.Random(1010)
+    for p, n in [(7, 1), (7, 2), (7, 3), (11, 4), (7, 6), (13, 2)]:
+        m = PrimePowerModulus(p, n)
+        for _ in range(3):
+            num = Poly([rng.randrange(-10**12, 10**12) for _ in range(rng.randint(1, 6))])
+            den = Poly([rng.randrange(-10**12, 10**12) for _ in range(rng.randint(1, 6))])
+            f = RationalFunction(num, den)
+            alphas = [a for a in range(p) if f.den.eval_mod(a, p)]
+            if not alphas:
+                continue
+            alpha = rng.choice(alphas)
+            got = residue_class_sum(f, alpha, m)
+            assert abs(got - class_sum_by_scalar_loop(f, alpha, m)) <= 1e-10 * math.sqrt(m.q), (p, n)
+
+
+def test_residue_class_sum_of_one_term_builds_no_table(monkeypatch):
+    # at n = 1 a class is one term: the inverse comes from pow, not from a
+    # table of all p inverses
+    calls = []
+    monkeypatch.setattr(expsums, "_inv_mod_p", lambda p: calls.append(p))
+    m = PrimePowerModulus(9999991, 1)
+    f = phase_function(3, 4, 1)
+    got = residue_class_sum(f, 5, m)
+    assert calls == []
+    z = f.num.eval_mod(5, m.q) * pow(f.den.eval_mod(5, m.q), -1, m.q) % m.q
+    assert abs(got - cmath.exp(2j * math.pi * z / m.q)) <= 1e-12
 
 
 def test_residue_class_sum_gates():
@@ -438,7 +486,7 @@ def test_circle_bruteforce_matches_scalar_loop(p, n, k1, k2, x3):
 
 
 def test_circle_bruteforce_blocks_of_short_classes(monkeypatch):
-    # 516 admissible classes of 521 terms go 125 to a block: five blocks,
+    # 516 admissible classes of 521 terms go 31 to a block: seventeen blocks,
     # the last one short; the inverse table is built once for all of them
     calls = []
     inv_mod_p = expsums._inv_mod_p
@@ -452,9 +500,17 @@ def test_circle_bruteforce_admissible_classes(monkeypatch, p):
     # the classes mod p handed to the class sums are exactly the admissible ones
     m = PrimePowerModulus(p, 2)
     seen = []
-    monkeypatch.setattr(expsums, "_class_sums", lambda f, alphas, mod: seen.append(alphas) or alphas)
+    monkeypatch.setattr(expsums, "_class_sums", lambda f, alphas, mod: seen.append(alphas) or 0j)
     circle_exponential_sum(ExpSumSpec(1, 2, 3, m), "bruteforce")
     assert seen[0].tolist() == [t for t in range(p) if is_admissible_param(t, m)]
+
+
+def test_circle_bruteforce_long_classes_split_into_blocks():
+    # at 7^6 a class has 16807 terms: one full block and a short one each
+    m = PrimePowerModulus(7, 6)
+    assert BRUTE_BLOCK < m.q // 7 < 2 * BRUTE_BLOCK
+    check_circle_bruteforce_by_scalar_loop(3, 4, 1, m)
+    check_circle_bruteforce_by_scalar_loop(987654, 12345, 10, m)
 
 
 def check_circle_bruteforce_by_scalar_loop(k1, k2, x3, m):
@@ -469,8 +525,8 @@ def check_circle_bruteforce_by_scalar_loop(k1, k2, x3, m):
 
 
 def test_circle_bruteforce_works_one_class_at_a_time():
-    # the 7^7 sum holds a few arrays of one class (q/7 terms), not of all
-    # 4q/7 admissible parameters
+    # the 7^7 sum holds a few arrays of one block (about 2^14 terms), not
+    # of all 4q/7 admissible parameters
     spec = ExpSumSpec(3, 4, 1, PrimePowerModulus(7, 7))
     tracemalloc.start()
     try:
@@ -542,3 +598,40 @@ def test_lattice_circle_weight_nonresidue_pattern():
     assert lattice_circle_weight(2, 2, 10.0, w, 5) == 0
     # and mod 7 it is a residue: nonzero value
     assert lattice_circle_weight(2, 2, 10.0, w, 7) != 0
+
+
+def _largest_prime_power(bound):
+    for q in range(bound, 1, -1):
+        for e in range(1, q.bit_length()):
+            r = round(q ** (1 / e))
+            if any((r + d) ** e == q and is_prime(r + d) for d in (-1, 0, 1)):
+                return q
+
+
+@pytest.mark.parametrize("q", [7, 7**8, 9999991, _largest_prime_power(BRUTE_MAX_Q)])
+def test_fmod_is_python_mod_at_the_edges(q):
+    top = q * q + q  # the largest |a| the brute force reduces
+    ks = [0, 1, 2, q - 1, q, q + 1]
+    a = [k * q + d for k in ks for d in (-1, 0, 1)] + [top, top - 1, q * q, q * q - 1]
+    a += [-v for v in a]
+    got = _fmod(np.array(a, dtype=float), q, np.empty(len(a)))
+    assert got.tolist() == [v % q for v in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, BRUTE_MAX_Q).flatmap(
+        lambda q: st.tuples(st.just(q), st.lists(st.integers(-q * q - q, q * q + q), min_size=1))
+    )
+)
+def test_fmod_matches_python_mod(case):
+    q, a = case
+    got = _fmod(np.array(a, dtype=float), q, np.empty(len(a)))
+    assert got.tolist() == [v % q for v in a]
+
+
+def test_fmod_exactness_bound_covers_every_modulus():
+    # _fmod is exact for |a| <= q^2 + q while q(q + 2) < 2^51; the brute
+    # force and the dual side's inverses reduce mod q <= BRUTE_MAX_Q
+    assert BRUTE_MAX_Q * (BRUTE_MAX_Q + 2) < 2**51
+    assert DUAL_MAX_ENTRIES <= BRUTE_MAX_Q
