@@ -60,6 +60,6 @@ from .padic import (
     jacobi_symbol,
     sqrt_mod,
 )
-from .weights import PoissonCheck, WeightSpec, gaussian, poisson_check, weighted_lattice_sum
+from .weights import PoissonCheck, WeightSpec, gaussian, poisson_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

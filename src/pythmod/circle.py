@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
+import numpy as np
+
 from .errors import InadmissibleParameter, InvalidPoint, InvalidSolution, TooLarge
 from .padic import PrimePowerModulus, Residue, inv_mod
 
@@ -69,6 +71,17 @@ def is_admissible_param(t: int, m: PrimePowerModulus) -> bool:
     return (t * (1 - t * t) * (1 + t * t)) % m.p != 0
 
 
+def admissible_classes(p: int) -> np.ndarray:
+    """The admissible parameter classes mod p, ascending, as int32 (p < 2^31):
+    t(1-t^2)(1+t^2) is a unit exactly when t^2 is not 0 or +-1 mod p."""
+    sq = np.arange(p, dtype=np.int64)
+    sq *= sq
+    sq %= p
+    mask = (sq != 0) & (sq != 1) & (sq != p - 1)
+    del sq  # p int64 entries: not held beside the result
+    return np.arange(p, dtype=np.int32)[mask]
+
+
 def param_point(t: Union[Residue, int], m: PrimePowerModulus) -> CircleParamPoint:
     """Map an admissible parameter to its circle point mod p^n."""
     tv = int(t) % m.q
@@ -99,8 +112,7 @@ def enumerate_admissible_t(m: PrimePowerModulus) -> List[int]:
     """
     if m.q > ENUM_MAX_Q:
         raise TooLarge(f"q = {m.q} above the exhaustive bound {ENUM_MAX_Q}")
-    bad = {t for t in range(m.p) if not is_admissible_param(t, m)}
-    return [t for t in range(m.q) if t % m.p not in bad]
+    return (np.arange(0, m.q, m.p)[:, None] + admissible_classes(m.p)).ravel().tolist()
 
 
 def enumerate_circle_solutions(m: PrimePowerModulus) -> List[Tuple[int, int]]:

@@ -19,6 +19,7 @@ from typing import NamedTuple, Tuple, Union
 
 import numpy as np
 
+from .circle import admissible_classes, is_admissible_param
 from .errors import DenominatorNotUnit, HypothesisViolated, NotResidue, TooLarge, UnitRequired
 from .padic import (
     Poly,
@@ -31,6 +32,7 @@ from .padic import (
     jacobi_symbol,
     sqrt_mod,
 )
+from .weights import _box_radius
 
 BRUTE_MAX_Q = 10**7
 BRUTE_BLOCK = 2**14  # terms per block of the brute force's (class, j) grid
@@ -489,14 +491,7 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
     if mode == "bruteforce":
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-        # t is admissible when t(1-t^2)(1+t^2) is a unit: t^2 is not 0 or +-1 mod p
-        sq = np.arange(m.p, dtype=np.int64)
-        sq *= sq
-        sq %= m.p
-        mask = (sq != 0) & (sq != 1) & (sq != m.p - 1)
-        del sq  # p int64 entries: not held while the classes are summed
-        admissible = np.arange(m.p, dtype=np.int32)[mask]  # p < 2^31
-        return _class_sums(f, admissible, m)
+        return _class_sums(f, admissible_classes(m.p), m)
     if mode == "closed":
         if spec.r > m.n - 2:
             raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")
@@ -505,9 +500,8 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
         pts = stationary_points(spec.l1, spec.l2, m.p)
         total = 0j
         for root in pts.roots:
-            sq = root * root % m.p
-            if sq == 0 or sq == 1 or sq == m.p - 1:
-                continue  # inadmissible class; only the double root lands here
+            if not is_admissible_param(root, m):
+                continue  # only the double root lands here
             total += residue_class_sum_closed(f, root, m)
         return total
     raise ValueError(f"unknown mode {mode!r}")
@@ -524,6 +518,9 @@ def lattice_circle_weight(D: int, levels: int, N: float, w, p: int) -> complex:
         raise ValueError(f"D = {D} must be positive")
     if levels < 1:
         raise ValueError(f"levels = {levels} must be positive")
+    if not (math.isfinite(N) and N >= 1):
+        raise ValueError(f"N = {N} must be finite and at least 1")
+    R = _box_radius(math.isqrt(D), "lattice circle")  # before the O(sqrt(D)) loop
     if D % p == 0 or jacobi_symbol(D, p) != 1:
         return 0j
     sub = PrimePowerModulus(p, levels)
@@ -531,7 +528,7 @@ def lattice_circle_weight(D: int, levels: int, N: float, w, p: int) -> complex:
     factor = jacobi_symbol(2 * rho, sub.q)
     scale = sub.q / N  # dual argument is l * N / p^levels
     total = 0.0
-    for l1 in range(-math.isqrt(D), math.isqrt(D) + 1):
+    for l1 in range(-R, R + 1):
         rest = D - l1 * l1
         l2 = math.isqrt(rest)
         if l2 * l2 != rest:

@@ -66,9 +66,6 @@ class PrimePowerModulus:
     def is_unit(self, a: int) -> bool:
         return a % self.p != 0
 
-    def __str__(self):
-        return f"{self.p}^{self.n}"
-
 
 @dataclass(frozen=True)
 class Residue:
@@ -80,39 +77,8 @@ class Residue:
     def __post_init__(self):
         object.__setattr__(self, "value", self.value % self.modulus.q)
 
-    def _check(self, other: "Residue"):
-        if other.modulus != self.modulus:
-            raise ValueError(
-                f"mixed moduli: {self.modulus} vs {other.modulus}"
-            )
-
-    def _coerce(self, other: Union["Residue", int]) -> int:
-        if isinstance(other, Residue):
-            self._check(other)
-            return other.value
-        return other
-
-    def __add__(self, other):
-        return Residue(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Residue(self.value - self._coerce(other), self.modulus)
-
-    def __mul__(self, other):
-        return Residue(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
     def __int__(self):
         return self.value
-
-    def is_unit(self) -> bool:
-        return self.modulus.is_unit(self.value)
 
 
 def inv_mod(a: int, m: PrimePowerModulus) -> Residue:

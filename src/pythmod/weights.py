@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TooLarge
 
 BOX_MAX_POINTS = 10**6  # points per axis of a box, or terms of a weight sum
+SERIES_TOL = 1e-15  # where poisson_check truncates each series
 
 
 def _box_radius(extent: float, what: str = "box") -> int:
@@ -78,44 +79,17 @@ class PoissonCheck(NamedTuple):
     diff: float
 
 
-def poisson_check(w: WeightSpec, tol: float = 1e-15) -> PoissonCheck:
+def poisson_check(w: WeightSpec) -> PoissonCheck:
     """Numerically compare sum value(k) against sum fourier(k) over k in Z.
 
     Both series are truncated at the radius where the summand drops
-    below tol; the two sides agree as an exact identity, so the residual
-    is pure truncation and roundoff (contract: <= 1e-12).
+    below SERIES_TOL; the two sides agree as an exact identity, so the
+    residual is pure truncation and roundoff (contract: <= 1e-12).
     """
     # floor(R + 1) + 1 = ceil(R) + 1 terms on each side
-    rv = _box_radius(w.truncation_radius(tol) + 1, "value series") + 1
-    rf = _box_radius(w.fourier_truncation_radius(tol) + 1, "Fourier series") + 1
+    rv = _box_radius(w.truncation_radius(SERIES_TOL) + 1, "value series") + 1
+    rf = _box_radius(w.fourier_truncation_radius(SERIES_TOL) + 1, "Fourier series") + 1
     lhs = math.fsum(w.value(k) for k in range(-rv, rv + 1))
     rhs = math.fsum(w.fourier(k) for k in range(-rf, rf + 1))
     return PoissonCheck(lhs, rhs, abs(lhs - rhs))
 
-
-def weighted_lattice_sum(
-    w: WeightSpec,
-    N: float,
-    residue_class: Optional[Tuple[int, int]] = None,
-    coprime_to: Optional[int] = None,
-) -> float:
-    """Sum of value(x/N) over integers x in a residue class.
-
-    residue_class = (a, m) restricts to x = a mod m; coprime_to = p
-    restricts to p not dividing x; None sums over all of Z. Truncated at
-    |x| <= N * truncation_radius(1e-15).
-    """
-    if not (math.isfinite(N) and N >= 1):
-        raise ValueError(f"N = {N} must be finite and at least 1")
-    if residue_class is not None and coprime_to is not None:
-        raise ValueError("give a residue class or a coprimality condition, not both")
-    cut = _box_radius(N * w.truncation_radius(1e-15) + 1, "lattice sum")
-    xs = np.arange(-cut, cut + 1, dtype=np.int64)
-    if residue_class is not None:
-        a, mod = residue_class
-        if mod < 1:
-            raise ValueError(f"class modulus {mod} must be positive")
-        xs = xs[xs % mod == a % mod]
-    elif coprime_to is not None:
-        xs = xs[xs % coprime_to != 0]
-    return float(np.sum(w.value(xs / N)))

@@ -1,15 +1,18 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pythmod.circle import (
     SolutionTriple,
+    admissible_classes,
     enumerate_admissible_t,
     enumerate_circle_solutions,
     excluded_param_count,
     hensel_lift_solution,
     inverse_param,
+    is_admissible_param,
     param_point,
 )
 from pythmod.errors import (
@@ -83,6 +86,25 @@ def test_admissible_count_formula(p, n):
     m = PrimePowerModulus(p, n)
     expected = p ** (n - 1) * (p - excluded_param_count(p))
     assert len(enumerate_admissible_t(m)) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 9973])
+def test_admissible_classes_match_scalar_rule(p):
+    # the vector rule t^2 not in {0, +-1} mod p against t(1-t^2)(1+t^2) a unit
+    m = PrimePowerModulus(p, 1)
+    classes = admissible_classes(p)
+    assert classes.dtype == np.int32
+    assert classes.tolist() == [t for t in range(p) if is_admissible_param(t, m)]
+    if p <= 5:
+        assert classes.size == 0
+    else:
+        assert classes.size == p - excluded_param_count(p)
+
+
+@pytest.mark.parametrize("p,n", [(7, 3), (13, 2)])
+def test_enumerate_admissible_matches_scalar_rule(p, n):
+    m = PrimePowerModulus(p, n)
+    assert enumerate_admissible_t(m) == [t for t in range(m.q) if is_admissible_param(t, m)]
 
 
 def test_circle_solutions_examples():

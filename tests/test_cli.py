@@ -36,6 +36,25 @@ def strip_volatile(record):
     return clean
 
 
+def readme_commands():
+    """The `pythmod ...` lines of the README's "Command line" code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pythmod ")]
+
+
+def test_readme_commands_run(capsys, schema, monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHMOD_OUT_DIR", str(tmp_path))
+    commands = readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        code, rec = run_cli(capsys, *argv)
+        assert code == 0, argv
+        jsonschema.validate(rec, schema)
+        assert rec["manifest"]["subcommand"] == argv[0]
+    assert (tmp_path / "sweep.csv").exists()
+
+
 def test_param_subcommand(capsys, schema):
     code, rec = run_cli(capsys, "param", "--p", "7", "--n", "1")
     assert code == 0

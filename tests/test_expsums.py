@@ -600,6 +600,19 @@ def test_lattice_circle_weight_nonresidue_pattern():
     assert lattice_circle_weight(2, 2, 10.0, w, 7) != 0
 
 
+def test_lattice_circle_weight_gates_before_its_loop():
+    w = gaussian(1.0)
+    # 2 isqrt(D) + 1 points per axis: 999,999 at D = 499999^2 is under the
+    # bound, 1,000,001 at D = 500000^2 is over it; 10^24 would loop 2e12 times
+    assert lattice_circle_weight(499999**2, 2, 10.0, w, 31) == 0  # 499999 = 31 * 127^2
+    for D in (500000**2, 10**24):
+        with pytest.raises(TooLarge, match="lattice circle"):
+            lattice_circle_weight(D, 2, 10.0, w, 11)
+    for N in (0.0, 0.5, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            lattice_circle_weight(25, 2, N, w, 7)
+
+
 def _largest_prime_power(bound):
     for q in range(bound, 1, -1):
         for e in range(1, q.bit_length()):

@@ -10,7 +10,6 @@ from pythmod.padic import (
     Poly,
     PrimePowerModulus,
     RationalFunction,
-    Residue,
     eval_rational_mod,
     inv_mod,
     is_prime,
@@ -39,18 +38,6 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41}
     for n in range(42):
         assert is_prime(n) == (n in primes)
-
-
-def test_residue_arithmetic_rejects_mixed_moduli():
-    a = Residue(3, M49)
-    b = Residue(5, M343)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
-    assert (Residue(45, M49) + Residue(10, M49)).value == 6
-    assert (Residue(3, M49) * 20).value == 60 % 49
-    assert (-Residue(1, M49)).value == 48
 
 
 def test_inv_mod_examples():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pythmod.errors import TooLarge
-from pythmod.weights import gaussian, poisson_check, weighted_lattice_sum
+from pythmod.weights import gaussian, poisson_check
 
 
 def test_gaussian_basics():
@@ -61,56 +61,15 @@ def test_poisson_duality_half_vs_two():
     )
 
 
-def test_weighted_lattice_sum_full():
-    w = gaussian(1.0)
-    total = weighted_lattice_sum(w, 1000.0)
-    assert total == pytest.approx(1000.0, rel=1e-6)
-    # degenerate class 0 mod 1 is the full sum
-    assert weighted_lattice_sum(w, 1000.0, residue_class=(0, 1)) == total
-
-
-def test_weighted_lattice_sum_coprime():
-    w = gaussian(1.0)
-    total = weighted_lattice_sum(w, 1000.0, coprime_to=7)
-    assert total == pytest.approx(1000.0 * 6 / 7, rel=1e-6)
-    # difference route: all minus the 0 mod 7 class
-    alt = weighted_lattice_sum(w, 1000.0) - weighted_lattice_sum(
-        w, 1000.0, residue_class=(0, 7)
-    )
-    assert total == pytest.approx(alt, abs=1e-9)
-
-
-def test_weighted_lattice_sum_classes_partition():
-    w = gaussian(1.0)
-    total = weighted_lattice_sum(w, 250.0)
-    parts = math.fsum(
-        weighted_lattice_sum(w, 250.0, residue_class=(a, 7)) for a in range(7)
-    )
-    assert parts == pytest.approx(total, abs=1e-9)
-
-
-def test_weighted_lattice_sum_validation():
-    w = gaussian(1.0)
-    with pytest.raises(ValueError):
-        weighted_lattice_sum(w, 0.5)
-    with pytest.raises(ValueError):
-        weighted_lattice_sum(w, 10.0, residue_class=(1, 7), coprime_to=5)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            weighted_lattice_sum(w, bad)
-
-
 def test_weight_sums_gate_before_allocating():
     tracemalloc.start()
     try:
         # the value series of scale 1e8 has about 6.6e8 terms, the Fourier
-        # series of scale 1e-8 about 1.9e9, the lattice sum at N = 1e6 6.6e6
+        # series of scale 1e-8 about 1.9e9
         with pytest.raises(TooLarge, match="value series"):
             poisson_check(gaussian(1e8))
         with pytest.raises(TooLarge, match="Fourier series"):
             poisson_check(gaussian(1e-8))
-        with pytest.raises(TooLarge, match="lattice sum"):
-            weighted_lattice_sum(gaussian(1.0), 1e6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
