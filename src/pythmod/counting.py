@@ -1,8 +1,9 @@
 """Counting solutions of x1^2 + x2^2 = x3^2 mod p^n in boxes.
 
-The smoothed count buckets the box by square class, S[c] = total
-weight of the units x with x^2 = c mod q, and takes T = <S * S, S> with
-one real FFT self-convolution mod q: O(q log q + cutoff*N).  A direct
+The smoothed count buckets the positive half of the box by square class,
+S[c] = total weight of the units x with x^2 = c mod q (x and -x alike),
+and takes T = <S * S, S> as the cube sum in the frequency domain, from
+one forward real FFT and no inverse: O(q log q + cutoff*N).  A direct
 triple loop at O((cutoff*N)^3) is the tests' oracle for it.  One integer
 square-class counter gives the exact sharp-box count and the dual-side
 count.  One walk over Euclid's primitive triples counts the ordinary
@@ -168,8 +169,9 @@ def unit_gauss_sums(m: PrimePowerModulus, k: int) -> np.ndarray:
 
 
 def _cube_sum(s: np.ndarray) -> float:
-    # sum over a mod q of s(a)^2 s(-a); s[::-1] rolled by one is s(-a)
-    return float(np.sum(s * s * np.roll(s[::-1], 1)).real)
+    # sum over a mod q of s(a)^2 s(-a).  g(-a, k) = conj g(a, -k) = conj g(a, k)
+    # and the coefficients are real, so s(-a) = conj s(a): the sum of |s(a)|^2 Re s(a)
+    return float(np.dot(s.real**2 + s.imag**2, s.real))
 
 
 def predict_dual_terms(cfg: CountConfig) -> DualTerms:
@@ -210,12 +212,16 @@ def _smoothed_bucket(cfg: CountConfig) -> float:
     q = m.q
     if q > BUCKET_MAX_Q:
         raise TooLarge(f"q = {q} above the bucket-table bound {BUCKET_MAX_Q}")
-    xs = _unit_box(m.p, _box_radius(cfg.cutoff * cfg.N))
-    wts = cfg.weight.value(xs / cfg.N)
-    # S[c] = total weight of the box units x with x^2 = c mod q
-    S = np.bincount((xs % q) ** 2 % q, weights=wts, minlength=q)
-    # T = sum over (c1, c2) of S[c1] S[c2] S[c1 + c2 mod q]
-    return float(np.dot(np.fft.irfft(np.fft.rfft(S) ** 2, n=q), S))
+    xs = np.arange(1, _box_radius(cfg.cutoff * cfg.N) + 1, dtype=np.int64)
+    xs = xs[xs % m.p != 0]
+    # S[c] = total weight of the box units x with x^2 = c mod q; -x counts as x
+    S = np.bincount(xs * xs % q, weights=2 * cfg.weight.value(xs / cfg.N), minlength=q)
+    # T = sum over (c1, c2) of S[c1] S[c2] S[c1 + c2 mod q] = (1/q) sum over a mod q
+    # of |F(a)|^2 F(a), F the DFT of S.  F(-a) = conj F(a) and q is odd: the term
+    # a = 0 plus twice the real parts of the terms a = 1..(q-1)/2
+    F = np.fft.rfft(S)
+    w = F.real**2 + F.imag**2
+    return float(2 * np.dot(w, F.real) - w[0] * F[0].real) / q
 
 
 def _smoothed_triple_loop(cfg: CountConfig) -> float:

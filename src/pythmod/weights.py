@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +26,9 @@ def _box_radius(extent: float, what: str = "box") -> int:
     C = math.floor(min(extent, BOX_MAX_POINTS))
     if 2 * C + 1 > BOX_MAX_POINTS:
         raise TooLarge(
-            f"{what} |x| <= {extent:.6g} has about {2 * extent + 1:.6g} points "
-            f"per axis, above {BOX_MAX_POINTS}"
+            # as Decimal: '.6g' would convert an int to float, which overflows past 1.8e308
+            f"{what} |x| <= {Decimal(extent):.6g} has about {Decimal(2 * extent + 1):.6g} "
+            f"points per axis, above {BOX_MAX_POINTS}"
         )
     return C
 

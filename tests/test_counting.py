@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pythmod.counting import (
+    DUAL_TOL,
     PYTH_MAX_N,
     CountConfig,
+    _cube_sum,
+    _dual_sums,
     _smoothed_triple_loop,
     count_box_exact,
     count_equation_box,
@@ -172,6 +175,62 @@ def test_bucket_kernel_matches_triple_loop(p, n, N, scale):
     assert abs(fft - loop) <= 1e-6 * loop + 1e-13 * mass**3
 
 
+def _two_transform_oracle(c):
+    # T = <S * S, S> over the whole box, the cyclic self-convolution taken
+    # by a forward and an inverse real FFT
+    q, C = c.modulus.q, math.floor(c.cutoff * c.N)
+    xs = np.arange(-C, C + 1, dtype=np.int64)
+    xs = xs[xs % c.modulus.p != 0]
+    S = np.bincount(xs * xs % q, weights=c.weight.value(xs / c.N), minlength=q)
+    return float(np.dot(np.fft.irfft(np.fft.rfft(S) ** 2, n=q), S))
+
+
+@pytest.mark.parametrize(
+    "p,n,N,scale",
+    [
+        (7, 5, 912, 1.0),  # the two criterion-10 runs
+        (7, 6, 3545, 1.0),
+        (7, 1, 3, 1.0),  # q = p
+        (13, 1, 8, 1.0),
+        (11, 4, 700, 0.5),
+        (13, 3, 219, 2.0),
+        (17, 2, 53, 0.5),
+        (7, 4, 233, 2.0),
+    ],
+)
+def test_bucket_kernel_matches_two_transform_oracle(p, n, N, scale):
+    c = cfg(p, n, N, weight=gaussian(scale))
+    assert count_smoothed(c).measured_T == pytest.approx(_two_transform_oracle(c), rel=1e-12)
+
+
+def test_count_smoothed_takes_one_forward_fft(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    c = cfg(7, 6, 3545)
+    first = count_smoothed(c).measured_T
+    assert calls == ["rfft"]
+    assert count_smoothed(c).measured_T == first  # reruns are bit-identical
+
+
+@pytest.mark.parametrize("p,n,N", [(7, 4, 60), (7, 5, 343), (7, 6, 3545), (11, 3, 40), (13, 4, 300)])
+def test_dual_sums_conjugate_symmetric(p, n, N):
+    # s(-a) = conj s(a), which lets _cube_sum read the cube sum as the sum of
+    # |s(a)|^2 Re s(a); coefficients built as in predict_dual_terms
+    m, q = PrimePowerModulus(p, n), p**n
+    K = math.ceil(W1.fourier_truncation_radius(DUAL_TOL) * q / N)
+    coef = W1.fourier(np.arange(K + 1) * N / q)
+    coef[1:] *= 2
+    s = _dual_sums(m, coef)
+    minus = s[(-np.arange(q)) % q]
+    assert np.max(np.abs(minus - np.conj(s))) <= 1e-13 * np.max(np.abs(s))
+    direct = np.sum(s * s * minus).real
+    assert _cube_sum(s) == pytest.approx(direct, rel=1e-12)
+
+
 def test_triple_loop_gate():
     with pytest.raises(TooLarge):
         _smoothed_triple_loop(cfg(7, 2, 10**4))
@@ -192,6 +251,9 @@ def test_box_gate_raises_before_allocating():
         for N in (10**12, 500_000):  # 2 * 500000 + 1 is one point over the bound
             with pytest.raises(TooLarge, match="points per axis"):
                 count_box_exact(m49, N)
+        # an int past the float range: the message must not convert it to float
+        with pytest.raises(TooLarge, match=r"\|x\| <= 1\.00000e\+400 has about 2\.00000e\+400"):
+            count_box_exact(m49, 10**400)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

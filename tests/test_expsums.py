@@ -603,9 +603,10 @@ def test_lattice_circle_weight_nonresidue_pattern():
 def test_lattice_circle_weight_gates_before_its_loop():
     w = gaussian(1.0)
     # 2 isqrt(D) + 1 points per axis: 999,999 at D = 499999^2 is under the
-    # bound, 1,000,001 at D = 500000^2 is over it; 10^24 would loop 2e12 times
+    # bound, 1,000,001 at D = 500000^2 is over it; 10^24 would loop 2e12 times,
+    # and at D = 10^616 the count 2 isqrt(D) + 1 is an int too large for a float
     assert lattice_circle_weight(499999**2, 2, 10.0, w, 31) == 0  # 499999 = 31 * 127^2
-    for D in (500000**2, 10**24):
+    for D in (500000**2, 10**24, 10**616):
         with pytest.raises(TooLarge, match="lattice circle"):
             lattice_circle_weight(D, 2, 10.0, w, 11)
     for N in (0.0, 0.5, -1.0, math.inf, -math.inf, math.nan):
