@@ -5,13 +5,14 @@ S[c] = total weight of the units x with x^2 = c mod q (x and -x alike),
 and takes T = <S * S, S> as the cube sum in the frequency domain, from
 one forward real FFT and no inverse: O(q log q + cutoff*N).  A direct
 triple loop at O((cutoff*N)^3) is the tests' oracle for it.  One integer
-square-class counter gives the exact sharp-box count and the dual-side
-count.  One walk over Euclid's primitive triples counts the ordinary
-Pythagorean triples of the transition regime and of the dual side above
-modulus 2L^2.  predict_dual_terms evaluates the smoothed count a third
-way, as an exact Poisson expansion over closed-form Gauss sums with one
-DFT per p-adic level, and splits it into the main term and the dual
-terms.
+square-class counter, summed over blocks of class pairs with one numpy
+gather each, gives the exact sharp-box count and the dual-side count.  One
+walk over Euclid's primitive triples, taken as arrays a few rows at a
+time, counts the ordinary Pythagorean triples of the transition regime
+and of the dual side above modulus 2L^2.  predict_dual_terms evaluates the
+smoothed count a third way, as an exact Poisson expansion over closed-form
+Gauss sums with one DFT per p-adic level, and splits it into the main term
+and the dual terms.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from .weights import WeightSpec, _box_radius
 TRIPLE_LOOP_MAX_CELLS = 10**9
 BUCKET_MAX_Q = 2**26
 PYTH_MAX_N = 10**7
+PAIR_BLOCK = 2**16  # class pairs per block of _square_triples
+WALK_BLOCK = 2**15  # Euclid pairs per block of count_equation_box
 DUAL_MAX_L = 10**4
 R2_MAX_M = 10**14  # trial division up to 10^7
 DUAL_MAX_ENTRIES = 10**7  # q + K + 1 array entries on the dual side, ~85 bytes each
@@ -264,22 +267,31 @@ def count_smoothed(cfg: CountConfig) -> CountReport:
 
 
 def _square_triples(xs: np.ndarray, M: int) -> int:
-    """Number of triples in xs^3 with x1^2 + x2^2 = x3^2 mod M."""
+    """Number of triples in xs^3 with x1^2 + x2^2 = x3^2 mod M.
+
+    With n_c points of xs in square class c: the sum over class pairs of
+    n1 n2 n_(c1 + c2), in blocks of about PAIR_BLOCK pairs (a few class
+    rows against all classes), one gather and two int64 products each.
+    The table n_c takes the narrowest unsigned dtype that fits max n_c.
+    """
     if M > BUCKET_MAX_Q:
         raise TooLarge(f"modulus {M} above the bucket-table bound {BUCKET_MAX_Q}")
     classes, counts = np.unique(xs * xs % M, return_counts=True)
-    pairs = len(classes) ** 2  # one gather of the classes per class
+    pairs = len(classes) ** 2
     if pairs > TRIPLE_LOOP_MAX_CELLS:
         raise TooLarge(
             f"{len(classes)} square classes need {pairs} class pairs, "
             f"above {TRIPLE_LOOP_MAX_CELLS}"
         )
-    bucket = np.zeros(M, dtype=np.int32)  # points of xs per square class
+    bucket = np.zeros(M, dtype=np.min_scalar_type(counts.max(initial=0)))
     bucket[classes] = counts
-    return sum(
-        n * int(counts @ bucket[(c + classes) % M])
-        for c, n in zip(classes.tolist(), counts.tolist())
-    )
+    rows = max(1, PAIR_BLOCK // max(1, len(classes)))
+    total = 0
+    for i in range(0, len(classes), rows):
+        s = classes[i : i + rows, None] + classes
+        np.subtract(s, M, out=s, where=s >= M)  # c1 + c2 < 2M
+        total += int((bucket[s] @ counts) @ counts[i : i + rows])
+    return total
 
 
 def count_box_exact(m: PrimePowerModulus, N: int) -> int:
@@ -298,8 +310,9 @@ def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
     counts 16 times (2 orders of the legs, 4 signs of (x1, x2), 2 of x3).
     Of the K = N // c multiples of a primitive triple (a, b, c), K - K // p
     are coprime to the prime p when p divides none of a, b, c, and none
-    otherwise: O(1) work per primitive triple.  Raises TooLarge above
-    PYTH_MAX_N.
+    otherwise.  The pairs are taken as arrays, a few n-rows at a time with
+    at most WALK_BLOCK pairs: row n holds m = n + 1, n + 3, ... up to
+    isqrt(N - n^2).  Raises TooLarge above PYTH_MAX_N.
     """
     if N < 0:
         raise ValueError(f"N = {N} must be nonnegative")
@@ -307,19 +320,26 @@ def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
         raise TooLarge(f"N = {N} above the walk bound {PYTH_MAX_N}")
     if coprime_to is not None and not is_prime(coprime_to):
         raise ValueError(f"coprime_to = {coprime_to} must be a prime")
+    n = np.arange(1, math.isqrt(N // 2) + 1, dtype=np.int64)
+    # float sqrt is floor-exact for N < 2^52; n <= sqrt(N/2) keeps each k >= 0
+    k = (np.sqrt(N - n * n).astype(np.int64) - n + 1) // 2
+    rows = max(1, WALK_BLOCK // int(k.max(initial=1)))  # the first row is the longest
     total = 0
-    for m in range(2, math.isqrt(N) + 1):
-        for n in range(m % 2 + 1, m, 2):
-            c = m * m + n * n
-            if c > N:
-                break
-            if math.gcd(m, n) != 1:
-                continue
-            K = N // c
-            if coprime_to is None:
-                total += K
-            elif (m * m - n * n) * 2 * m * n * c % coprime_to:
-                total += K - K // coprime_to
+    for i in range(0, len(n), rows):
+        kk = k[i : i + rows]
+        nn = np.repeat(n[i : i + rows], kk)
+        m = nn + 1 + 2 * (np.arange(len(nn)) - np.repeat(np.cumsum(kk) - kk, kk))
+        keep = np.gcd(m, nn) == 1
+        m, nn = m[keep], nn[keep]
+        c = m * m + nn * nn
+        K = N // c
+        if coprime_to is not None:
+            # one leg at a time: each is at most N, but a*b*c can pass 2^63.  Like
+            # any prime above N, N + 1 divides no leg, and K // (N + 1) = 0
+            p = min(coprime_to, N + 1)
+            K = K[((m * m - nn * nn) % p != 0) & (2 * m * nn % p != 0) & (c % p != 0)]
+            K = K - K // p
+        total += int(K.sum())
     return 16 * total
 
 

@@ -1,14 +1,18 @@
 import math
 import time
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pythmod import counting
 from pythmod.counting import (
     DUAL_TOL,
+    PAIR_BLOCK,
     PYTH_MAX_N,
     CountConfig,
     _cube_sum,
@@ -295,6 +299,74 @@ def test_count_box_exact_matches_brute(p, n, N):
     assert count_box_exact(PrimePowerModulus(p, n), N) == _box_brute(p, n, N)
 
 
+def _class_pair_loop(xs, M):
+    """Scalar oracle of the class-pair kernel: for each pair of square
+    classes, their point counts times the count of the class of their sum."""
+    n = Counter(x * x % M for x in xs)
+    return sum(n1 * n2 * n.get((c1 + c2) % M, 0) for c1, n1 in n.items() for c2, n2 in n.items())
+
+
+# block is the pair budget of one block of _square_triples: 1 and 5 give one
+# class row per block, and 64 over 9 classes gives blocks of 7 rows and 2 rows
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([7, 11, 13]),
+    n=st.integers(1, 4),
+    N=st.integers(0, 150),
+    block=st.sampled_from([1, 5, 64, PAIR_BLOCK]),
+)
+@example(p=7, n=2, N=10, block=64)  # 9 classes: a last block of 2 rows
+@example(p=7, n=1, N=2000, block=PAIR_BLOCK)  # about 1143 points per class: a uint16 table
+@example(p=7, n=3, N=0, block=PAIR_BLOCK)  # the empty box
+@example(p=13, n=4, N=150, block=1)  # one class row per block
+def test_count_box_exact_matches_class_pair_loop(p, n, N, block):
+    xs = [x for x in range(-N, N + 1) if x % p]
+    with mock.patch.object(counting, "PAIR_BLOCK", block):
+        assert count_box_exact(PrimePowerModulus(p, n), N) == _class_pair_loop(xs, p**n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(1, 60),
+    frac=st.floats(0.0, 1.0),
+    block=st.sampled_from([1, 5, 64, PAIR_BLOCK]),
+)
+@example(L=600, frac=0.0, block=PAIR_BLOCK)  # modulus 1: all 1201 points in one class
+@example(L=300, frac=1.0, block=PAIR_BLOCK)  # modulus 2 L^2, the largest on the table path
+def test_dual_triple_count_matches_class_pair_loop(L, frac, block):
+    modulus = 1 + int(frac * (2 * L * L - 1))  # 1..2 L^2: the class-pair path
+    with mock.patch.object(counting, "PAIR_BLOCK", block):
+        got = dual_triple_count(L, modulus)
+    assert got == _class_pair_loop(range(-L, L + 1), modulus) - 1
+
+
+def test_square_triples_memory_bound():
+    # the table of 7^8 classes fits uint8 (q bytes; int32 would take 4q), and
+    # one block of PAIR_BLOCK pairs holds its int64 sums, the mask of sums to
+    # reduce, the gathered counts and their int64 cast: under 32 bytes a pair
+    m = PrimePowerModulus(7, 8)
+    tracemalloc.start()
+    try:
+        got = count_box_exact(m, 1697)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 14704
+    assert peak < m.q + 32 * PAIR_BLOCK
+
+
+def test_class_pair_gate_raises_before_the_table():
+    # 34286 classes need 1.18e9 pairs; the 7^9 table would be 40 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="34286 square classes need 1175529796 class pairs"):
+            count_box_exact(PrimePowerModulus(7, 9), 40000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22  # the box and its squares: 80001 int64 points each
+
+
 def test_transition_examples():
     res = transition_check(PrimePowerModulus(7, 6), 200)
     assert res.equal and res.congruence_count == res.equation_count == 1280
@@ -325,6 +397,51 @@ def _equation_box_loop(N, coprime_to=None):
 def test_count_equation_box_matches_scalar_loop(coprime_to):
     for N in range(151):
         assert count_equation_box(N, coprime_to) == _equation_box_loop(N, coprime_to), N
+
+
+def _euclid_loop(N, coprime_to=None):
+    """Scalar oracle of the array walk: one math.gcd per Euclid pair and the
+    divisibility of the product of the legs, in Python ints."""
+    total = 0
+    for m in range(2, math.isqrt(N) + 1):
+        for n in range(m % 2 + 1, m, 2):
+            c = m * m + n * n
+            if c > N:
+                break
+            if math.gcd(m, n) != 1:
+                continue
+            K = N // c
+            if coprime_to is None:
+                total += K
+            elif (m * m - n * n) * 2 * m * n * c % coprime_to:
+                total += K - K // coprime_to
+    return 16 * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(0, 3 * 10**5), coprime_to=st.sampled_from([None, 2, 7, 11, 13]))
+def test_count_equation_box_matches_euclid_loop(N, coprime_to):
+    assert count_equation_box(N, coprime_to) == _euclid_loop(N, coprime_to)
+
+
+def test_count_equation_box_past_int64_products():
+    # from N = 2.7e6 the product (m^2 - n^2) 2mn c of the legs can pass 2^63
+    assert count_equation_box(4 * 10**6, 7) == _euclid_loop(4 * 10**6, 7)
+    # a prime past int64 divides no leg
+    for N in (0, 5, 1000, 10**5):
+        assert count_equation_box(N, 2**89 - 1) == count_equation_box(N) == _euclid_loop(N)
+
+
+def test_count_pythagorean_memory_bound():
+    # the walk holds a block of WALK_BLOCK = 2^15 pairs in a few int64 arrays;
+    # all 2e6 pairs below PYTH_MAX_N at once would take 16 MB per array
+    tracemalloc.start()
+    try:
+        count_pythagorean(PYTH_MAX_N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _r2_brute(m):
@@ -403,7 +520,7 @@ def test_pythagorean_walk_gates():
         count_pythagorean(PYTH_MAX_N + 1)
     with pytest.raises(TooLarge, match="walk bound"):
         count_equation_box(10**12)
-    assert time.perf_counter() - start < 0.1  # the walk to PYTH_MAX_N takes 0.5 s
+    assert time.perf_counter() - start < 0.1  # the walk to PYTH_MAX_N takes about 0.2 s
     for bad in (count_pythagorean, count_equation_box):
         with pytest.raises(ValueError, match="nonnegative"):
             bad(-1)
