@@ -8,12 +8,12 @@ mod p^n lift level by level through a linear congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import InadmissibleParameter, InvalidPoint, InvalidSolution, TooLarge
-from .padic import PrimePowerModulus, Residue, inv_mod
+from .padic import PrimePowerModulus, inv_mod
 
 ENUM_MAX_Q = 10**6
 
@@ -82,27 +82,26 @@ def admissible_classes(p: int) -> np.ndarray:
     return np.arange(p, dtype=np.int32)[mask]
 
 
-def param_point(t: Union[Residue, int], m: PrimePowerModulus) -> CircleParamPoint:
+def param_point(t: int, m: PrimePowerModulus) -> CircleParamPoint:
     """Map an admissible parameter to its circle point mod p^n."""
-    tv = int(t) % m.q
+    tv = t % m.q
     if not is_admissible_param(tv, m):
         raise InadmissibleParameter(f"t = {tv}: t(1-t^2)(1+t^2) is not a unit mod {m.p}")
-    inv = inv_mod(1 + tv * tv, m).value
+    inv = inv_mod(1 + tv * tv, m)
     y1 = (1 - tv * tv) * inv % m.q
     y2 = 2 * tv * inv % m.q
     return CircleParamPoint(tv, y1, y2, m)
 
 
-def inverse_param(y1: int, y2: int, m: PrimePowerModulus) -> Residue:
-    """The unique parameter t with param_point(t) = (y1, y2).
+def inverse_param(y1: int, y2: int, m: PrimePowerModulus) -> int:
+    """The unique parameter t in [0, q) with param_point(t) = (y1, y2).
 
     Uses t = y2 * (1 + y1)^-1; 1 + y1 is a unit because y1 = -1 would
     force y2^2 = 0 against the unit condition.
     """
     if (y1 * y1 + y2 * y2 - 1) % m.q != 0 or not (m.is_unit(y1) and m.is_unit(y2)):
         raise InvalidPoint(f"({y1}, {y2}) is not a unit circle point mod {m.q}")
-    t = y2 * inv_mod(1 + y1, m).value % m.q
-    return Residue(t, m)
+    return y2 * inv_mod(1 + y1, m) % m.q
 
 
 def enumerate_admissible_t(m: PrimePowerModulus) -> List[int]:

@@ -46,9 +46,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _resolve_out(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
+def _resolve_out(path: str) -> str:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.dirname(path):
         return os.path.join(base, path)

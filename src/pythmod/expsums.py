@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .padic import (
     Poly,
     PrimePowerModulus,
     RationalFunction,
-    Residue,
     _sqrt_mod_prime,
     eval_rational_mod,
     inv_mod,
@@ -41,9 +40,9 @@ GAUSS_MAX_Q = 10**6
 TWO_PI = 2.0 * math.pi
 
 
-def additive_character(z: Union[Residue, int], q: int) -> complex:
+def additive_character(z: int, q: int) -> complex:
     """e_q(z) = exp(2 pi i z / q)."""
-    return cmath.exp(TWO_PI * 1j * (int(z) % q) / q)
+    return cmath.exp(TWO_PI * 1j * (z % q) / q)
 
 
 def gauss_sum_bruteforce(q: int) -> complex:
@@ -273,6 +272,10 @@ def residue_class_sum_closed(f: RationalFunction, alpha: int, m: PrimePowerModul
     Raises HypothesisViolated when r > n-2, n < 2, the denominator is
     not a unit at alpha, or the root has higher multiplicity; callers
     should fall back to residue_class_sum.
+
+    f' = (F1'F2 - F1F2')/F2^2 with F2(alpha) a unit, so F2 has unit
+    content, and so has F2^2 by Gauss's lemma: r is the p-adic content
+    of the numerator, and F2^2 is a unit at alpha.
     """
     p, n, q = m.p, m.n, m.q
     if n < 2:
@@ -280,18 +283,12 @@ def residue_class_sum_closed(f: RationalFunction, alpha: int, m: PrimePowerModul
     if f.den.eval_mod(alpha, p) == 0:
         raise HypothesisViolated(f"denominator vanishes mod {p} at {alpha}")
     fp = f.derivative()
-    h_num, a_ord = _stripped(fp.num, p)
-    h_den, b_ord = _stripped(fp.den, p)
+    h_num, r = _stripped(fp.num, p)
     if fp.num.is_zero():
         raise HypothesisViolated("f' = 0: order of f' is infinite")
-    r = a_ord - b_ord
     if r > n - 2:
         raise HypothesisViolated(f"ord_p(f') = {r} > n - 2 = {n - 2}")
-    if r < 0:
-        raise HypothesisViolated(f"ord_p(f') = {r} < 0")
-    den_at = h_den.eval_mod(alpha, p)
-    if den_at == 0:
-        raise HypothesisViolated(f"stripped denominator vanishes mod {p} at {alpha}")
+    den_at = fp.den.eval_mod(alpha, p)
     if h_num.eval_mod(alpha, p) != 0:
         return 0j
     h_num_d = h_num.derivative()
@@ -371,17 +368,21 @@ def stationary_points(l1: int, l2: int, p: int) -> StationaryPoints:
     return StationaryPoints(tuple(roots), False)
 
 
-def canonical_sqrt(a: int, m: PrimePowerModulus) -> Residue:
+def canonical_sqrt(a: int, m: PrimePowerModulus) -> int:
     """The smaller of the two roots of x^2 = a mod p^n, for a unit residue."""
     roots = sqrt_mod(a, m)
     if roots is None:
         raise NotResidue(f"{a} is not a quadratic residue mod {m.p}")
-    return roots[0]
+    return roots[0].value
 
 
-def lift_stationary_point(
-    l1: int, l2: int, m: PrimePowerModulus, branch: int
-) -> Residue:
+def _level_root(D: int, p: int, levels: int) -> Tuple[int, int]:
+    """(p^levels, the canonical root of D mod p^levels), for a unit residue D."""
+    sub = PrimePowerModulus(p, levels)
+    return sub.q, canonical_sqrt(D % sub.q, sub)
+
+
+def lift_stationary_point(l1: int, l2: int, m: PrimePowerModulus, branch: int) -> int:
     """The stationary point (-l1 + branch*sqrt(D)) / l2 mod p^(n-r).
 
     m is the modulus p^(n-r); branch is +1 or -1 and selects the sign in
@@ -395,10 +396,10 @@ def lift_stationary_point(
     D = l1 * l1 + l2 * l2
     if D % m.p == 0:
         raise NotResidue(f"D = {D} is divisible by p = {m.p}")
-    rho = canonical_sqrt(D % m.q, m).value
-    astar = (-l1 + branch * rho) * inv_mod(l2, m).value % m.q
-    assert (2 * l1 * astar - l2 * (1 - astar * astar)) % m.q == 0
-    return Residue(astar, m)
+    q, rho = _level_root(D, m.p, m.n)
+    astar = (-l1 + branch * rho) * inv_mod(l2, m) % q
+    assert (2 * l1 * astar - l2 * (1 - astar * astar)) % q == 0
+    return astar
 
 
 def stationary_phase_identity(spec: ExpSumSpec, branch: int) -> Tuple[complex, complex]:
@@ -408,11 +409,10 @@ def stationary_phase_identity(spec: ExpSumSpec, branch: int) -> Tuple[complex, c
     point; the right side is the closed form with the canonical root.
     """
     m = spec.modulus
-    sub = PrimePowerModulus(m.p, spec.levels)
-    astar = lift_stationary_point(spec.l1, spec.l2, sub, branch).value
+    astar = lift_stationary_point(spec.l1, spec.l2, PrimePowerModulus(m.p, spec.levels), branch)
     lhs = additive_character(eval_rational_mod(spec.phase(), astar, m), m.q)
-    rho = canonical_sqrt(spec.D % sub.q, sub).value
-    rhs = additive_character(branch * spec.x3 * rho, sub.q)
+    sub_q, rho = _level_root(spec.D, m.p, spec.levels)
+    rhs = additive_character(branch * spec.x3 * rho, sub_q)
     return lhs, rhs
 
 
@@ -423,10 +423,8 @@ def curvature_symbol(spec: ExpSumSpec, branch: int) -> int:
     stripped of its p-content, so this is the defining route for the
     curvature term in the stationary-phase formula.
     """
-    m = spec.modulus
-    p = m.p
-    sub = PrimePowerModulus(p, spec.levels)
-    astar = lift_stationary_point(spec.l1, spec.l2, sub, branch).value
+    p = spec.modulus.p
+    astar = lift_stationary_point(spec.l1, spec.l2, PrimePowerModulus(p, spec.levels), branch)
     fpp = spec.phase().derivative().derivative()
     n2, a2 = _stripped(fpp.num, p)
     d2, b2 = _stripped(fpp.den, p)
@@ -446,10 +444,9 @@ def curvature_symbol_sqrt_form(spec: ExpSumSpec, branch: int) -> int:
     (2 * x3 * rho' / p) for the opposite root rho' = -rho.  For
     p = 1 mod 4 the sign is invisible because (-1/p) = 1.
     """
-    m = spec.modulus
-    sub = PrimePowerModulus(m.p, spec.levels)
-    rho = branch * canonical_sqrt(spec.D % sub.q, sub).value
-    return jacobi_symbol(-2 * spec.x3 * rho, m.p)
+    p = spec.modulus.p
+    rho = branch * _level_root(spec.D, p, spec.levels)[1]
+    return jacobi_symbol(-2 * spec.x3 * rho, p)
 
 
 def gauss_factor(levels: int, x3: int, D: int, p: int) -> complex:
@@ -460,8 +457,7 @@ def gauss_factor(levels: int, x3: int, D: int, p: int) -> complex:
         raise UnitRequired(f"x3*D = {x3 * D} not a unit mod {p}")
     if levels % 2 == 0:
         return 1.0 + 0j
-    sub = PrimePowerModulus(p, levels)
-    rho = canonical_sqrt(D % sub.q, sub).value
+    rho = _level_root(D, p, levels)[1]
     return jacobi_symbol(2 * x3 * rho, p) * _prime_gauss_unit(p)
 
 
@@ -471,10 +467,9 @@ def gauss_factor_unified(levels: int, x3: int, D: int, p: int) -> complex:
         raise ValueError(f"levels = {levels} must be positive")
     if (x3 * D) % p == 0:
         raise UnitRequired(f"x3*D = {x3 * D} not a unit mod {p}")
-    sub = PrimePowerModulus(p, levels)
-    rho = canonical_sqrt(D % sub.q, sub).value
-    scale = gauss_sum_closed(sub.q) / p ** (levels / 2.0)
-    return scale * jacobi_symbol(2 * x3 * rho, sub.q)
+    q, rho = _level_root(D, p, levels)
+    scale = gauss_sum_closed(q) / p ** (levels / 2.0)
+    return scale * jacobi_symbol(2 * x3 * rho, q)
 
 
 def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> complex:
@@ -511,8 +506,11 @@ def lattice_circle_weight(D: int, levels: int, N: float, w, p: int) -> complex:
     """Jacobi factor (2*sqrt(D) / p^levels) times the dual-weighted count
     of lattice points l1^2 + l2^2 = D with unit coordinates.
 
-    Zero when D has no canonical root mod p (non-residue or p | D) or
-    when no admissible lattice point exists.
+    The Gaussian dual weight w.fourier(l1 N/p^levels) w.fourier(l2 N/p^levels)
+    depends on l1^2 + l2^2 alone, so it is the one product
+    w.fourier(0) w.fourier(sqrt(D) N/p^levels) on every point, and the sum
+    is the number of unit points times it. Zero when D has no canonical
+    root mod p (non-residue or p | D) or when no unit point exists.
     """
     if D < 1:
         raise ValueError(f"D = {D} must be positive")
@@ -520,21 +518,15 @@ def lattice_circle_weight(D: int, levels: int, N: float, w, p: int) -> complex:
         raise ValueError(f"levels = {levels} must be positive")
     if not (math.isfinite(N) and N >= 1):
         raise ValueError(f"N = {N} must be finite and at least 1")
-    R = _box_radius(math.isqrt(D), "lattice circle")  # before the O(sqrt(D)) loop
+    R = _box_radius(math.isqrt(D), "lattice circle")  # before the O(sqrt(D)) pass
     if D % p == 0 or jacobi_symbol(D, p) != 1:
         return 0j
-    sub = PrimePowerModulus(p, levels)
-    rho = canonical_sqrt(D % sub.q, sub).value
-    factor = jacobi_symbol(2 * rho, sub.q)
-    scale = sub.q / N  # dual argument is l * N / p^levels
-    total = 0.0
-    for l1 in range(-R, R + 1):
-        rest = D - l1 * l1
-        l2 = math.isqrt(rest)
-        if l2 * l2 != rest:
-            continue
-        for s2 in ({l2, -l2} if l2 else {0}):
-            if (l1 * s2) % p == 0:
-                continue
-            total += w.fourier(l1 / scale) * w.fourier(s2 / scale)
-    return complex(factor * total)
+    q, rho = _level_root(D, p, levels)
+    l1 = np.arange(-R, R + 1, dtype=np.int64)
+    rest = D - l1 * l1
+    # floor(sqrt) is isqrt below 2^52, and the box gate keeps D below 2.5e11
+    l2 = np.sqrt(rest).astype(np.int64)
+    # each l2 > 0 gives the points (l1, +-l2); l2 = 0 is never a unit
+    units = 2 * np.count_nonzero((l2 * l2 == rest) & (l1 % p != 0) & (l2 % p != 0))
+    dual = w.fourier(0.0) * w.fourier(math.sqrt(D) * N / q)
+    return complex(jacobi_symbol(2 * rho, q) * int(units) * dual)

@@ -1,8 +1,8 @@
 """Exact arithmetic modulo odd prime powers q = p^n.
 
 Inverses, Jacobi/Legendre symbols, square roots mod p^n (Tonelli-Shanks at
-the prime level followed by Hensel lifting), dense integer polynomials,
-and rational functions F1/F2 with p-adic order bookkeeping.
+the prime level followed by Hensel lifting), dense integer polynomials
+with their p-adic content, and rational functions F1/F2.
 
 All values are exact Python integers; q is capped at 2^31 so that q^2
 products stay inside int64 for the vectorized kernels elsewhere.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .errors import DenominatorNotUnit, NotInvertible, UnitRequired
 
@@ -69,23 +69,17 @@ class PrimePowerModulus:
 
 @dataclass(frozen=True)
 class Residue:
-    """A canonical representative in [0, q) tied to its modulus."""
+    """A root in [0, q) tied to its modulus, as sqrt_mod returns it."""
 
     value: int
     modulus: PrimePowerModulus
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.q)
 
-    def __int__(self):
-        return self.value
-
-
-def inv_mod(a: int, m: PrimePowerModulus) -> Residue:
-    """Multiplicative inverse mod q = p^n."""
+def inv_mod(a: int, m: PrimePowerModulus) -> int:
+    """Multiplicative inverse mod q = p^n, in [0, q)."""
     if a % m.p == 0:
         raise NotInvertible(f"{a} is divisible by p = {m.p}")
-    return Residue(pow(a, -1, m.q), m)
+    return pow(a, -1, m.q)
 
 
 def jacobi_symbol(a: int, m: int) -> int:
@@ -168,18 +162,11 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -194,8 +181,6 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Poly([other * c for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -205,8 +190,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -251,12 +234,9 @@ class Poly:
 
 
 class RationalFunction:
-    """f = F1/F2 with integer polynomials, kept uncancelled.
-
-    The representation carries the p-adic order ord_p(f) =
-    ord_p(F1) - ord_p(F2) on the given numerator and denominator, so no
-    gcd cancellation is ever performed.
-    """
+    """f = F1/F2 with integer polynomials, kept uncancelled: no gcd
+    cancellation is ever performed, so the p-adic content of F1 and F2 is
+    that of the given numerator and denominator."""
 
     __slots__ = ("num", "den")
 
@@ -266,22 +246,10 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
     def derivative(self) -> "RationalFunction":
         """Quotient rule (F1'F2 - F1F2')/F2^2, no cancellation."""
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RationalFunction(num, self.den * self.den)
-
-    def ord_p(self, p: int):
-        """ord_p(F1) - ord_p(F2); +inf for the zero numerator."""
-        a, b = self.num.ord_p(p), self.den.ord_p(p)
-        return a - b if a is not math.inf else math.inf
 
     def __call__(self, x) -> Fraction:
         return Fraction(self.num(x), self.den(x))
@@ -290,13 +258,9 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def eval_rational_mod(
-    f: RationalFunction, x: Union[Residue, int], m: PrimePowerModulus
-) -> Residue:
-    """F1(x) * F2(x)^-1 mod q; requires F2(x) to be a unit."""
-    xv = int(x) if isinstance(x, Residue) else x
-    den = f.den.eval_mod(xv, m.q)
+def eval_rational_mod(f: RationalFunction, x: int, m: PrimePowerModulus) -> int:
+    """F1(x) * F2(x)^-1 mod q, in [0, q); requires F2(x) to be a unit."""
+    den = f.den.eval_mod(x, m.q)
     if den % m.p == 0:
-        raise DenominatorNotUnit(f"F2({xv}) = 0 mod {m.p}")
-    num = f.num.eval_mod(xv, m.q)
-    return Residue(num * inv_mod(den, m).value, m)
+        raise DenominatorNotUnit(f"F2({x}) = 0 mod {m.p}")
+    return f.num.eval_mod(x, m.q) * inv_mod(den, m) % m.q

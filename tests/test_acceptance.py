@@ -70,7 +70,7 @@ def test_criterion_02_parametrization_bijection():
         for t in ts:
             pt = param_point(t, m)
             image.append((pt.y1, pt.y2))
-            assert inverse_param(pt.y1, pt.y2, m).value == t
+            assert inverse_param(pt.y1, pt.y2, m) == t
         assert len(set(image)) == len(ts)  # injective
         assert set(image) == set(enumerate_circle_solutions(m))  # surjective
     elapsed = time.perf_counter() - start

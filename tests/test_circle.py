@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pythmod.circle import (
+    CircleParamPoint,
     SolutionTriple,
     admissible_classes,
     enumerate_admissible_t,
@@ -49,9 +50,16 @@ def test_param_point_examples():
         param_point(5, M13)  # 1 + 25 = 0 mod 13
 
 
+def test_circle_param_point_refuses_bad_points():
+    with pytest.raises(InvalidPoint, match="not on the circle"):
+        CircleParamPoint(2, 2, 3, M7)  # 4 + 9 - 1 = 12 mod 7
+    with pytest.raises(InvalidPoint, match="non-unit"):
+        CircleParamPoint(0, 0, 1, M7)  # on the circle, but y1 = 0
+
+
 def test_inverse_param_examples():
-    assert inverse_param(5, 5, M7).value == 2
-    assert inverse_param(19, 40, M49).value == 2
+    assert inverse_param(5, 5, M7) == 2
+    assert inverse_param(19, 40, M49) == 2
     with pytest.raises(InvalidPoint):
         inverse_param(1, 0, M7)
     with pytest.raises(InvalidPoint):
@@ -69,7 +77,7 @@ def test_round_trip_and_injectivity(m):
         pair = (pt.y1, pt.y2)
         assert pair not in seen, f"t = {t} and t = {seen[pair]} collide"
         seen[pair] = t
-        assert inverse_param(pt.y1, pt.y2, m).value == t
+        assert inverse_param(pt.y1, pt.y2, m) == t
 
 
 def test_enumerate_admissible_examples():

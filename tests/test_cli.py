@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from pythmod import cli
 from pythmod.cli import SWEEP_COLUMNS, main
 from pythmod.counting import CountConfig, _smoothed_triple_loop
 from pythmod.padic import PrimePowerModulus
@@ -183,6 +184,21 @@ def test_rejects_bad_scales_and_costly_sums(capsys, argv):
     assert elapsed < 1
 
 
+def test_count_bucket_gate_refuses_before_allocating(capsys):
+    # 7^10 is above the bucket-table bound 2^26: the table alone would be 2.3 GB
+    tracemalloc.start()
+    try:
+        code = main(["count", "--p", "7", "--n", "10", "--N", "5"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: TooLarge") and captured.err.count("\n") == 1
+    assert "bucket-table bound" in captured.err
+    assert peak < 2**20
+
+
 def test_count_cross_method_agreement(capsys):
     _, rec = run_cli(capsys, "count", "--p", "7", "--n", "1", "--N", "3", "--phi-scale", "2")
     cfg = CountConfig(PrimePowerModulus(7, 1), 3.0, gaussian(2.0))
@@ -213,6 +229,24 @@ def test_expsum_vanishing(capsys):
     assert code == 0
     assert rec["result"]["closed"]["abs"] == 0
     assert rec["result"]["bruteforce"]["abs"] <= 1e-7
+
+
+def test_expsum_route_disagreement_exits_3(capsys, schema, monkeypatch):
+    real = cli.circle_exponential_sum
+
+    def skewed(spec, mode="bruteforce"):
+        brute = real(spec, "bruteforce")
+        return brute + 1 if mode == "closed" else brute
+
+    monkeypatch.setattr(cli, "circle_exponential_sum", skewed)
+    code, rec = run_cli(
+        capsys, "expsum", "--p", "7", "--n", "4", "--k1", "3", "--k2", "4",
+        "--x3", "1", "--mode", "both",
+    )
+    assert code == 3
+    jsonschema.validate(rec, schema)
+    assert rec["result"]["oracle_diff"] > rec["result"]["tolerance"]
+    assert rec["result"]["oracle_diff"] == pytest.approx(1.0)
 
 
 def test_expsum_alpha_record(capsys, schema):
@@ -270,6 +304,21 @@ def test_scan_requires_target(capsys):
 def test_scan_empty_range_exit_2(capsys):
     assert main(["scan", "--p", "7", "--n", "3..1", "--nu", "0.7"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "1..3:0", "--nu", "0.7"], "step 0 must be positive"),
+        (["--n", "2", "--N-range", "15..5"], "empty N range"),
+    ],
+)
+def test_scan_refuses_zero_step_and_empty_N_range(capsys, argv, message):
+    code = main(["scan", "--p", "7", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("nu", ["inf", "1e10", "nan"])

@@ -548,6 +548,15 @@ def test_dual_triple_count_examples():
     assert dual_triple_count(3, 7) > count_pythagorean(3) - 1
 
 
+def test_exact_counters_refuse_negative_sizes():
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_box_exact(PrimePowerModulus(7, 2), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        dual_triple_count(-1, 7)
+    with pytest.raises(ValueError, match="positive"):
+        dual_triple_count(3, 0)
+
+
 def _dual_brute(L, mod):
     total = 0
     for l1 in range(-L, L + 1):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pythmod.circle import enumerate_admissible_t, is_admissible_param
+from pythmod.circle import enumerate_admissible_t, inverse_param, is_admissible_param
 from pythmod.errors import (
     DenominatorNotUnit,
     HypothesisViolated,
@@ -42,7 +42,15 @@ from pythmod.expsums import (
     stationary_points,
 )
 import pythmod.expsums as expsums
-from pythmod.padic import Poly, PrimePowerModulus, RationalFunction, is_prime, jacobi_symbol
+from pythmod.padic import (
+    Poly,
+    PrimePowerModulus,
+    RationalFunction,
+    eval_rational_mod,
+    inv_mod,
+    is_prime,
+    jacobi_symbol,
+)
 from pythmod.weights import gaussian
 
 M7_2 = PrimePowerModulus(7, 2)
@@ -213,6 +221,8 @@ def test_residue_class_sum_closed_hypothesis_gates():
         residue_class_sum_closed(phase_function(1, 1, 1), 5, PrimePowerModulus(13, 3))
     with pytest.raises(HypothesisViolated):  # double root: p | D forces it
         residue_class_sum_closed(phase_function(1, 2, 1), 2, PrimePowerModulus(5, 3))
+    with pytest.raises(HypothesisViolated, match="multiplicity"):  # f = t^3: h = 3t^2
+        residue_class_sum_closed(RationalFunction(Poly([0, 0, 0, 1])), 0, M7_3)
 
 
 def test_closed_matches_brute_randomized():
@@ -263,12 +273,29 @@ def test_stationary_points_against_search():
 
 
 def test_lift_stationary_point_examples():
-    assert lift_stationary_point(3, 4, M7_2, +1).value == 25
-    assert lift_stationary_point(3, 4, M7_2, -1).value == 47
+    assert lift_stationary_point(3, 4, M7_2, +1) == 25
+    assert lift_stationary_point(3, 4, M7_2, -1) == 47
     with pytest.raises(NotResidue):
         lift_stationary_point(1, 2, M7_2, +1)  # D = 5 is a non-residue mod 7
     with pytest.raises(ValueError):
         lift_stationary_point(3, 4, M7_2, 2)
+    with pytest.raises(UnitRequired):
+        lift_stationary_point(7, 4, M7_2, +1)  # p | l1
+    with pytest.raises(NotResidue, match="divisible"):
+        lift_stationary_point(1, 5, PrimePowerModulus(13, 2), +1)  # D = 26
+
+
+def test_residues_are_plain_ints():
+    f = RationalFunction(Poly([1, 0, -1]), Poly([1, 0, 1]))
+    values = [
+        inv_mod(3, M7_2),
+        eval_rational_mod(f, 2, M7_2),
+        canonical_sqrt(2, M7_2),
+        lift_stationary_point(3, 4, M7_2, +1),
+        inverse_param(19, 40, M7_2),
+    ]
+    assert [type(v) for v in values] == [int] * 5
+    assert values == [33, 19, 10, 25, 2]  # (1 - 4) / 5 = -30 mod 49
 
 
 def test_lift_stationary_point_congruence():
@@ -282,7 +309,7 @@ def test_lift_stationary_point_congruence():
             continue
         m = PrimePowerModulus(p, levels)
         for branch in (+1, -1):
-            a = lift_stationary_point(l1, l2, m, branch).value
+            a = lift_stationary_point(l1, l2, m, branch)
             assert (2 * l1 * a - l2 * (1 - a * a)) % m.q == 0
 
 
@@ -311,9 +338,7 @@ def _curvature_from_bruteforce(spec, branch):
     m = spec.modulus
     p = m.p
     assert spec.levels % 2 == 1, "symbol factor only appears for odd n - r"
-    root = lift_stationary_point(
-        spec.l1, spec.l2, PrimePowerModulus(p, spec.levels), branch
-    ).value
+    root = lift_stationary_point(spec.l1, spec.l2, PrimePowerModulus(p, spec.levels), branch)
     brute = residue_class_sum(spec.phase(), root % p, m)
     amp = p ** ((m.n + spec.r) / 2)
     lhs, _ = stationary_phase_identity(spec, branch)
@@ -365,7 +390,7 @@ def test_curvature_symbol_negated_root_law():
                 continue
             spec = ExpSumSpec(l1, l2, x3, m)
             for branch in (+1, -1):
-                rho = branch * canonical_sqrt(D % m.q, m).value
+                rho = branch * canonical_sqrt(D % m.q, m)
                 matched = jacobi_symbol(2 * x3 * rho, p)
                 assert curvature_symbol(spec, branch) == sign * matched
 
@@ -399,6 +424,10 @@ def test_gauss_factor_gates():
         gauss_factor(2, 7, 25, 7)
     with pytest.raises(ValueError):
         gauss_factor(0, 1, 25, 7)
+    with pytest.raises(UnitRequired):
+        gauss_factor_unified(2, 7, 25, 7)
+    with pytest.raises(ValueError):
+        gauss_factor_unified(0, 1, 25, 7)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -438,6 +467,8 @@ def test_circle_exponential_sum_gates():
         circle_exponential_sum(ExpSumSpec(49, 98, 1, M7_3), "closed")  # r = 2 > n-2
     with pytest.raises(ValueError):
         circle_exponential_sum(ExpSumSpec(1, 1, 1, M7_3), "nope")
+    with pytest.raises(TooLarge, match="brute-force bound"):  # 11^7 = 19487171 > 1e7
+        circle_exponential_sum(ExpSumSpec(3, 4, 1, PrimePowerModulus(11, 7)), "bruteforce")
 
 
 def test_inv_unit_vec_matches_pow():
@@ -580,7 +611,7 @@ def test_lattice_circle_weight_eight_points():
     expected = 0.0
     for l1, l2 in [(3, 4), (4, 3)]:
         expected += 4 * w.fourier(l1 * scale) * w.fourier(l2 * scale)
-    rho = canonical_sqrt(25, PrimePowerModulus(p, levels)).value
+    rho = canonical_sqrt(25, PrimePowerModulus(p, levels))
     expected *= jacobi_symbol(2 * rho, p**levels)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got != 0
@@ -612,6 +643,59 @@ def test_lattice_circle_weight_gates_before_its_loop():
     for N in (0.0, 0.5, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and at least 1"):
             lattice_circle_weight(25, 2, N, w, 7)
+    for D, levels in ((0, 2), (-25, 2), (25, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            lattice_circle_weight(D, levels, 10.0, w, 7)
+
+
+def _lattice_point_loop(D, levels, N, w, p):
+    """Oracle: the Jacobi factor of the smaller root of x^2 = D mod p^levels
+    (a search mod p, then Newton lifts) times the sum over the unit points
+    of l1^2 + l2^2 = D, point by point, of the two dual weights."""
+    if D % p == 0 or jacobi_symbol(D, p) != 1:
+        return 0j
+    q = p**levels
+    root, pk = next(x for x in range(1, p) if (x * x - D) % p == 0), p
+    while pk < q:
+        pk = min(pk * pk, q)
+        root = (root - (root * root - D) * pow(2 * root, -1, pk)) % pk
+    factor = jacobi_symbol(2 * min(root, q - root), q)
+    scale = q / N  # dual argument is l * N / p^levels
+    total = 0.0
+    for l1 in range(-math.isqrt(D), math.isqrt(D) + 1):
+        rest = D - l1 * l1
+        l2 = math.isqrt(rest)
+        if l2 * l2 != rest:
+            continue
+        for s2 in ({l2, -l2} if l2 else {0}):
+            if (l1 * s2) % p == 0:
+                continue
+            total += w.fourier(l1 / scale) * w.fourier(s2 / scale)
+    return complex(factor * total)
+
+
+def test_lattice_circle_weight_matches_point_loop():
+    rng = random.Random(14)
+    primes = [p for p in range(7, 32) if is_prime(p)]
+    nonzero = 0
+    for _ in range(1500):
+        p, levels = rng.choice(primes), rng.randint(1, 5)
+        a, b = rng.randint(0, 60), rng.randint(1, 60)
+        D = a * a + b * b  # <= 7200
+        N = (p**levels) ** rng.uniform(0.5, 1.0)
+        w = gaussian(rng.uniform(0.5, 2.0))
+        ref = _lattice_point_loop(D, levels, N, w, p)
+        got = lattice_circle_weight(D, levels, N, w, p)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (D, levels, N, w, p)
+        nonzero += ref != 0
+    assert nonzero > 300
+    # near the box gate, where np.sqrt must still floor to isqrt: the eight
+    # primes = 1 mod 4 put r2(D) = 4 * 2^8 = 1024 lattice points on the circle
+    D = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61
+    p = next(p for p in (7, 11, 19, 23, 31) if jacobi_symbol(D, p) == 1)
+    ref = _lattice_point_loop(D, 5, 1.0, gaussian(1.0), p)
+    assert abs(ref) > 100
+    assert lattice_circle_weight(D, 5, 1.0, gaussian(1.0), p) == pytest.approx(ref, rel=1e-12)
 
 
 def _largest_prime_power(bound):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pythmod.errors import DenominatorNotUnit, NotInvertible, UnitRequired
@@ -40,10 +41,24 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_matches_sieve():
+    limit = 10**6
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    assert [n for n in range(limit) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    # 151 * 751 * 28351 has no factor <= 37 and is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7: a later base must reach the composite exit
+    assert 3215031751 == 151 * 751 * 28351
+    assert not is_prime(3215031751)
+
+
 def test_inv_mod_examples():
-    assert inv_mod(1, M49).value == 1
-    assert inv_mod(2, M7).value == 4
-    assert inv_mod(3, M49).value == 33
+    assert inv_mod(1, M49) == 1
+    assert inv_mod(2, M7) == 4
+    assert inv_mod(3, M49) == 33
 
 
 def test_inv_mod_not_invertible():
@@ -56,7 +71,7 @@ def test_inv_mod_exhaustive(m):
     for a in range(1, m.q):
         if a % m.p == 0:
             continue
-        assert a * inv_mod(a, m).value % m.q == 1
+        assert a * inv_mod(a, m) % m.q == 1
 
 
 def test_inv_mod_randomized_larger():
@@ -67,7 +82,7 @@ def test_inv_mod_randomized_larger():
             a = rng.randrange(1, m.q)
             if a % p == 0:
                 continue
-            assert a * inv_mod(a, m).value % m.q == 1
+            assert a * inv_mod(a, m) % m.q == 1
 
 
 def test_jacobi_examples():
@@ -144,15 +159,19 @@ def test_poly_basics():
     assert f(2) == 17
     assert f.eval_mod(2, 7) == 3
     assert Poly([4, 0, 0]).coeffs == (4,)
+    assert (g + f).coeffs == (f + g).coeffs  # the shorter operand on the left
+
+
+def test_rational_function_refuses_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        RationalFunction(Poly([1]), Poly([0, 0]))
 
 
 def test_ord_p_rational_examples():
-    f = RationalFunction(Poly([49, 0, 7]))  # 7x^2 + 49
-    assert f.ord_p(7) == 1
-    assert RationalFunction(Poly([1, 1])).ord_p(7) == 0
-    g = RationalFunction(Poly([0, 7]), Poly([49]))  # 7x / 49
-    assert g.ord_p(7) == -1
-    assert RationalFunction(Poly([]), Poly([1])).ord_p(7) == math.inf
+    assert Poly([49, 0, 7]).ord_p(7) == 1  # 7x^2 + 49
+    assert Poly([1, 1]).ord_p(7) == 0
+    assert Poly([0, 7]).ord_p(7) - Poly([49]).ord_p(7) == -1  # 7x / 49
+    assert Poly([]).ord_p(7) == math.inf
 
 
 def test_ord_p_additive_under_multiplication():
@@ -167,17 +186,16 @@ def test_ord_p_additive_under_multiplication():
         g1, g2 = rand_poly(), rand_poly()
         if f1.is_zero() or g1.is_zero() or f2.is_zero() or g2.is_zero():
             continue
-        f = RationalFunction(f1, f2)
-        g = RationalFunction(g1, g2)
-        prod = RationalFunction(f1 * g1, f2 * g2)
-        assert prod.ord_p(p) == f.ord_p(p) + g.ord_p(p)
+        # Gauss's lemma: the p-adic content is additive under products
+        assert (f1 * g1).ord_p(p) == f1.ord_p(p) + g1.ord_p(p)
+        assert (f2 * g2).ord_p(p) == f2.ord_p(p) + g2.ord_p(p)
 
 
 def test_eval_rational_mod_examples():
     f = RationalFunction(Poly([1, 0, -1]), Poly([1, 0, 1]))  # (1-t^2)/(1+t^2)
-    assert eval_rational_mod(f, 2, M7).value == 5
+    assert eval_rational_mod(f, 2, M7) == 5
     ident = RationalFunction(Poly([0, 1]))
-    assert eval_rational_mod(ident, 3, M49).value == 3
+    assert eval_rational_mod(ident, 3, M49) == 3
     recip = RationalFunction(Poly([1]), Poly([1, 0, 1]))  # 1/(1+t^2)
     with pytest.raises(DenominatorNotUnit):
         eval_rational_mod(recip, 5, PrimePowerModulus(13, 1))  # 1+25 = 0 mod 13
