@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         return args.func(args, t0)
-    except (PythmodError, ValueError) as exc:
+    except (PythmodError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,12 @@ triple loop at O((cutoff*N)^3) is the tests' oracle for it.  One integer
 square-class counter, summed over blocks of class pairs with one numpy
 gather each, gives the exact sharp-box count and the dual-side count.  One
 walk over Euclid's primitive triples, taken as arrays a few rows at a
-time, counts the ordinary Pythagorean triples of the transition regime
-and of the dual side above modulus 2L^2.  predict_dual_terms evaluates the
+time, counts the ordinary Pythagorean triples of the transition regime,
+with a prime coprime_to.  count_pythagorean, behind the triples count and
+the dual side above modulus 2L^2, takes the same total from lattice-point
+counts without the triples: a hyperbola split at u ~ N^(2/3), Moebius
+inversion over odd squarefree d for the coprimality, and int64 row sums,
+O(N^(2/3) log N); the walk is its oracle.  predict_dual_terms evaluates the
 smoothed count a third way, as an exact Poisson expansion over closed-form
 Gauss sums with one DFT per p-adic level, and splits it into the main term
 and the dual terms.
@@ -34,6 +38,8 @@ BUCKET_MAX_Q = 2**26
 PYTH_MAX_N = 10**7
 PAIR_BLOCK = 2**16  # class pairs per block of _square_triples
 WALK_BLOCK = 2**15  # Euclid pairs per block of count_equation_box
+ROW_BLOCK = 2**14  # rows per block of count_pythagorean's lattice sums
+SPLIT_MIN = 2**12  # the least split u of count_pythagorean; one table is cheaper below it
 DUAL_MAX_L = 10**4
 R2_MAX_M = 10**14  # trial division up to 10^7
 DUAL_MAX_ENTRIES = 10**7  # q + K + 1 array entries on the dual side, ~85 bytes each
@@ -301,6 +307,13 @@ def count_box_exact(m: PrimePowerModulus, N: int) -> int:
     return _square_triples(_unit_box(m.p, _box_radius(N)), m.q)
 
 
+def _check_walk_bound(N: int) -> None:
+    if N < 0:
+        raise ValueError(f"N = {N} must be nonnegative")
+    if N > PYTH_MAX_N:
+        raise TooLarge(f"N = {N} above the walk bound {PYTH_MAX_N}")
+
+
 def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
     """Exact equation count: x1^2 + x2^2 = x3^2, max |x_i| <= N, all x_i
     nonzero (and coprime to the prime coprime_to when given).
@@ -314,10 +327,7 @@ def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
     at most WALK_BLOCK pairs: row n holds m = n + 1, n + 3, ... up to
     isqrt(N - n^2).  Raises TooLarge above PYTH_MAX_N.
     """
-    if N < 0:
-        raise ValueError(f"N = {N} must be nonnegative")
-    if N > PYTH_MAX_N:
-        raise TooLarge(f"N = {N} above the walk bound {PYTH_MAX_N}")
+    _check_walk_bound(N)
     if coprime_to is not None and not is_prime(coprime_to):
         raise ValueError(f"coprime_to = {coprime_to} must be a prime")
     n = np.arange(1, math.isqrt(N // 2) + 1, dtype=np.int64)
@@ -398,13 +408,97 @@ def r2(m: int) -> int:
     return total
 
 
+def _odd_mobius(M: int) -> Tuple[np.ndarray, np.ndarray]:
+    """d^2 and mu(d) for the odd squarefree d <= M, sieved over the odd primes."""
+    mu = np.ones(M + 1, dtype=np.int64)
+    mu[::2] = 0
+    composite = np.zeros(M + 1, dtype=bool)
+    for p in range(3, M + 1, 2):
+        if not composite[p]:
+            composite[p * p :: p] = True
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+    d = np.flatnonzero(mu)
+    return d * d, mu[d]
+
+
+# up to 5 d^2 <= PYTH_MAX_N: 5 is the least hypotenuse
+_D2, _MU = _odd_mobius(math.isqrt(PYTH_MAX_N // 5))
+
+
+def _segment_rows(lengths: np.ndarray):
+    """The rows of consecutive segments, lengths[i] rows in segment i, in
+    blocks of at most ROW_BLOCK: yields each row's segment and its offset
+    in that segment."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    for a in range(0, total, ROW_BLOCK):
+        r = np.arange(a, min(a + ROW_BLOCK, total))
+        seg = np.searchsorted(ends, r, side="right")
+        yield seg, r - (ends[seg] - lengths[seg])
+
+
+def _hyperbola_split(N: int) -> int:
+    """u = 4 t^2, with t the integer cube root of N, raised to SPLIT_MIN
+    and clipped to [1, N]."""
+    t = round(N ** (1 / 3))
+    t -= t**3 > N
+    return max(1, min(N, max(SPLIT_MIN, 4 * t * t)))
+
+
 def count_pythagorean(N: int) -> int:
     """Number of integer triples with x1^2 + x2^2 = x3^2 and |x3| <= N.
 
-    The origin, the 8N triples with a zero leg, and count_equation_box(N),
-    which raises for N < 0 and N > PYTH_MAX_N.  Grows like (8/pi) N log N.
+    The origin, the 8N triples with a zero leg, and 16 S(N): S is the sum
+    of N // c over the primitive triples, c the hypotenuse, and each
+    multiple counts 16 times (2 orders of the legs, 4 signs of (x1, x2),
+    2 of x3), as in count_equation_box, its oracle.  Grows like
+    (8/pi) N log N.  Raises for N < 0 and N > PYTH_MAX_N.
+
+    S comes from lattice-point counts, not from the triples.  Let P(x)
+    count the coprime m > n > 0 of opposite parity with m^2 + n^2 <= x, so
+    that S is the sum of P(N // k) over k >= 1.  Split at u from
+    _hyperbola_split, with w = N // (u + 1),
+
+        S = sum over primitive c <= u of N // c
+            + sum over k <= w of P(N // k) - w P(u),
+
+    because N // k = u for w < k <= N // u.  A common factor of m and n of
+    opposite parity is odd, so Moebius inversion over the odd squarefree d
+    gives P(x) = sum over d of mu(d) Q(x // d^2), Q counting the pairs with
+    no coprimality condition, and the first sum is the sum over d of mu(d)
+    times that of N // (d^2 c) over the pair hypotenuses c <= u // d^2.
+    Q(y) is read off the sorted table of the pair hypotenuses up to u for
+    y <= u, and above u it is one row sum: (isqrt(y - n^2) - n + 1) // 2
+    values of m for each n <= isqrt(y // 2).  About u table entries and
+    sqrt(N w) log N rows in all, O(N^(2/3) log N).
+
+    Exact: every row is an int64 array, taken ROW_BLOCK rows at a time,
+    and no value or sum exceeds N + 16 S(N) < 2^63; each float square
+    root is of an integer below 2^52, where its floor is exact.
     """
-    return 1 + 8 * N + count_equation_box(N)
+    _check_walk_bound(N)
+    u = _hyperbola_split(N)
+    w = N // (u + 1)
+    n = np.arange(1, math.isqrt(u // 2) + 1, dtype=np.int64)[:, None]
+    m = n + 1 + 2 * np.arange(math.isqrt(u) // 2, dtype=np.int64)
+    table = m * m + n * n  # m > n of opposite parity, coprime or not
+    table = np.sort(table[table <= u])
+    nd = np.searchsorted(_D2, u // 5, side="right")
+    below = np.searchsorted(table, u // _D2[:nd], side="right")  # Q(u // d^2)
+    total = -w * int(below @ _MU[:nd])  # - w P(u)
+    for d, i in _segment_rows(below):
+        total += int(_MU[d] @ (N // (_D2[d] * table[i])))
+    x = N // np.arange(1, w + 1, dtype=np.int64)
+    for k, d in _segment_rows(np.searchsorted(_D2, x // 5, side="right")):
+        y, mu = x[k] // _D2[d], _MU[d]  # P(N // k) is the sum of mu Q(y)
+        low = y <= u
+        total += int(mu[low] @ np.searchsorted(table, y[low], side="right"))
+        y, mu = y[~low], mu[~low]
+        for j, n in _segment_rows(np.sqrt(y // 2).astype(np.int64)):
+            n += 1
+            total += int(mu[j] @ ((np.sqrt(y[j] - n * n).astype(np.int64) - n + 1) // 2))
+    return 1 + 8 * N + 16 * total
 
 
 def dual_triple_count(L: int, modulus: int) -> int:

@@ -382,13 +382,9 @@ def _level_root(D: int, p: int, levels: int) -> Tuple[int, int]:
     return sub.q, canonical_sqrt(D % sub.q, sub)
 
 
-def lift_stationary_point(l1: int, l2: int, m: PrimePowerModulus, branch: int) -> int:
-    """The stationary point (-l1 + branch*sqrt(D)) / l2 mod p^(n-r).
-
-    m is the modulus p^(n-r); branch is +1 or -1 and selects the sign in
-    front of the canonical (smaller) root of x^2 = D. The result solves
-    2*l1*a = l2*(1 - a^2) mod p^(n-r).
-    """
+def _stationary_lift(l1: int, l2: int, m: PrimePowerModulus, branch: int) -> Tuple[int, int]:
+    """(a*, rho): the point of lift_stationary_point and the canonical
+    root rho of D mod p^(n-r) it is built from."""
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     if (l1 * l2) % m.p == 0:
@@ -396,10 +392,20 @@ def lift_stationary_point(l1: int, l2: int, m: PrimePowerModulus, branch: int) -
     D = l1 * l1 + l2 * l2
     if D % m.p == 0:
         raise NotResidue(f"D = {D} is divisible by p = {m.p}")
-    q, rho = _level_root(D, m.p, m.n)
-    astar = (-l1 + branch * rho) * inv_mod(l2, m) % q
-    assert (2 * l1 * astar - l2 * (1 - astar * astar)) % q == 0
-    return astar
+    rho = canonical_sqrt(D % m.q, m)
+    astar = (-l1 + branch * rho) * inv_mod(l2, m) % m.q
+    assert (2 * l1 * astar - l2 * (1 - astar * astar)) % m.q == 0
+    return astar, rho
+
+
+def lift_stationary_point(l1: int, l2: int, m: PrimePowerModulus, branch: int) -> int:
+    """The stationary point (-l1 + branch*sqrt(D)) / l2 mod p^(n-r).
+
+    m is the modulus p^(n-r); branch is +1 or -1 and selects the sign in
+    front of the canonical (smaller) root of x^2 = D. The result solves
+    2*l1*a = l2*(1 - a^2) mod p^(n-r).
+    """
+    return _stationary_lift(l1, l2, m, branch)[0]
 
 
 def stationary_phase_identity(spec: ExpSumSpec, branch: int) -> Tuple[complex, complex]:
@@ -409,10 +415,10 @@ def stationary_phase_identity(spec: ExpSumSpec, branch: int) -> Tuple[complex, c
     point; the right side is the closed form with the canonical root.
     """
     m = spec.modulus
-    astar = lift_stationary_point(spec.l1, spec.l2, PrimePowerModulus(m.p, spec.levels), branch)
+    sub = PrimePowerModulus(m.p, spec.levels)
+    astar, rho = _stationary_lift(spec.l1, spec.l2, sub, branch)
     lhs = additive_character(eval_rational_mod(spec.phase(), astar, m), m.q)
-    sub_q, rho = _level_root(spec.D, m.p, spec.levels)
-    rhs = additive_character(branch * spec.x3 * rho, sub_q)
+    rhs = additive_character(branch * spec.x3 * rho, sub.q)
     return lhs, rhs
 
 

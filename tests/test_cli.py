@@ -330,6 +330,23 @@ def test_scan_rejects_nonfinite_and_overflowing_nu(capsys, nu):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["count", "--p", "7", "--n", "3", "--N", "10"], "x.json"),
+        (["scan", "--p", "7", "--n", "2..3", "--nu", "0.7"], "x.csv"),
+    ],
+)
+def test_out_into_a_missing_directory_exits_2(capsys, tmp_path, argv, name):
+    missing = tmp_path / "missing"
+    code = main([*argv, "--out", str(missing / name)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: FileNotFoundError") and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert not missing.exists()
+
+
 def test_scan_n_range_with_N_range(capsys):
     code, rec = run_cli(
         capsys, "scan", "--p", "7", "--n", "2", "--N-range", "5..15:5",

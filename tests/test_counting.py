@@ -14,9 +14,11 @@ from pythmod.counting import (
     DUAL_TOL,
     PAIR_BLOCK,
     PYTH_MAX_N,
+    SPLIT_MIN,
     CountConfig,
     _cube_sum,
     _dual_sums,
+    _hyperbola_split,
     _smoothed_triple_loop,
     count_box_exact,
     count_equation_box,
@@ -501,7 +503,7 @@ def test_count_pythagorean_brute_oracle():
 def test_count_pythagorean_is_r2_prefix_sum():
     # r2 factors by trial division and shares no code with Euclid's walk
     total = 1
-    for N in range(0, 1001):
+    for N in range(0, 2001):
         if N:
             total += 2 * r2(N * N)
         assert count_pythagorean(N) == total, N
@@ -520,13 +522,55 @@ def test_pythagorean_walk_gates():
         count_pythagorean(PYTH_MAX_N + 1)
     with pytest.raises(TooLarge, match="walk bound"):
         count_equation_box(10**12)
-    assert time.perf_counter() - start < 0.1  # the walk to PYTH_MAX_N takes about 0.2 s
+    assert time.perf_counter() - start < 0.1  # the walk to PYTH_MAX_N takes about 0.12 s
     for bad in (count_pythagorean, count_equation_box):
         with pytest.raises(ValueError, match="nonnegative"):
             bad(-1)
     for not_prime in (1, 15, 49):
         with pytest.raises(ValueError, match="must be a prime"):
             count_equation_box(100, coprime_to=not_prime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(0, 3 * 10**5))
+@example(N=0)
+@example(N=3 * 10**5)
+def test_count_pythagorean_matches_walk(N):
+    assert count_pythagorean(N) == 1 + 8 * N + count_equation_box(N)
+
+
+def test_count_pythagorean_matches_walk_up_to_the_split_floor():
+    # up to SPLIT_MIN the split u is N itself and the table alone counts;
+    # N <= 5 holds the empty sums and the first hypotenuse
+    assert _hyperbola_split(SPLIT_MIN + 1) == SPLIT_MIN
+    for N in range(0, SPLIT_MIN + 3):
+        assert _hyperbola_split(N) == max(1, min(N, SPLIT_MIN))
+        assert count_pythagorean(N) == 1 + 8 * N + count_equation_box(N), N
+
+
+def test_count_pythagorean_at_the_split_steps():
+    # u depends on the integer cube root t of N alone, so it steps at the
+    # cubes; w = N // (u + 1) steps at the multiples of u + 1 in between
+    steps = set()
+    for t in range(16, 61):
+        u = _hyperbola_split(t**3)
+        assert _hyperbola_split((t + 1) ** 3 - 1) == u
+        steps.add(t**3)
+        steps.update(range(t**3 + -(t**3) % (u + 1), (t + 1) ** 3, u + 1))
+    steps = {N + e for N in steps for e in (-1, 0, 1)}
+    for N in sorted(steps):
+        assert count_pythagorean(N) == 1 + 8 * N + count_equation_box(N), N
+
+
+def test_count_pythagorean_uses_no_gcd_and_no_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_pythagorean must not call this")
+
+    monkeypatch.setattr(counting, "count_equation_box", refuse)
+    monkeypatch.setattr(np, "gcd", refuse)
+    assert count_pythagorean(5) == 57
+    assert count_pythagorean(10**4) == 279537
+    assert count_pythagorean(10**6) == 39690273
 
 
 def test_count_pythagorean_monotone():
