@@ -73,11 +73,14 @@ def is_admissible_param(t: int, m: PrimePowerModulus) -> bool:
 
 def admissible_classes(p: int) -> np.ndarray:
     """The admissible parameter classes mod p, ascending, as int32 (p < 2^31):
-    t(1-t^2)(1+t^2) is a unit exactly when t^2 is not 0 or +-1 mod p."""
+    t(1-t^2)(1+t^2) is a unit exactly when t^2 is not 0 or +-1 mod p, that
+    is when 1 + t^2 mod p is not 1, 2 or 0. One comparison makes the one
+    boolean temporary of p entries."""
     sq = np.arange(p, dtype=np.int64)
     sq *= sq
+    sq += 1
     sq %= p
-    mask = (sq != 0) & (sq != 1) & (sq != p - 1)
+    mask = sq > 2
     del sq  # p int64 entries: not held beside the result
     return np.arange(p, dtype=np.int32)[mask]
 

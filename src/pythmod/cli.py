@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
@@ -51,6 +52,16 @@ def _resolve_out(path: str) -> str:
     if base and not os.path.dirname(path):
         return os.path.join(base, path)
     return path
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse --out before any work when its directory is missing or not
+    writable: the commands open it only after their count."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", folder)
+    if not os.access(folder, os.W_OK):
+        raise PermissionError(errno.EACCES, "directory not writable", folder)
 
 
 def _manifest(subcommand: str, params: dict, out: Optional[str], t0: float) -> dict:
@@ -297,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=int, default=None,
                     help="restrict to the residue class t = alpha mod p")
     sp.add_argument("--mode", choices=["bruteforce", "closed", "both"], default="both",
-                    help="termwise sum, stationary-phase closed form, or both")
+                    help="termwise sum, stationary-phase closed form, or both; the "
+                         "termwise circle sum takes one class of each pair {alpha, -1/alpha} "
+                         "mod p and doubles its real part, exact as f(-1/t) = -f(t) makes "
+                         "the pair's sums conjugate")
     add_common(sp)
     sp.set_defaults(func=cmd_expsum)
 
@@ -340,6 +354,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
+        if args.out:
+            _check_out_dir(args.out)
         return args.func(args, t0)
     except (PythmodError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -7,6 +7,12 @@ phase f(t) = x3 * (k1*(1-t^2) + 2*k2*t) / (1+t^2): stationary points of
 2*l1*a = l2*(1-a^2) mod p, their lifts, the curvature symbol, the unimodular
 Gauss factor, and the sqrt(D)-weighted lattice factor.
 
+The brute-force circle sum uses one exact symmetry of the circle phase:
+t -> -1/t sends the class alpha mod p onto the class -alpha^-1 mod p, and
+f(-1/t) = -f(t) mod q, so the two class sums are complex conjugates. No
+admissible alpha is its own partner (alpha^2 = -1 is excluded), so the sum
+is twice the real part of the termwise sum over one class of each pair.
+
 Closed forms are verified against brute force elsewhere; the evaluators here
 never share code with their oracles.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -173,9 +179,12 @@ def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     return s, hi, lo
 
 
-def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> complex:
+def _class_sums(
+    f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus, inv: Optional[np.ndarray] = None
+) -> complex:
     """Sum of e_q(f(x)) over the classes x = alpha mod p, x in [1, q], of the
     alphas in an integer array (den(alpha) a unit): termwise, in exact residues.
+    inv is _inv_table(m), when the caller has built it already.
 
     Residues are integers held in float64. A product of two residues plus
     a residue is at most q^2 + q, where _fmod reduces exactly while
@@ -193,7 +202,8 @@ def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -
     p, q = m.p, m.q
     pk = p ** ((m.n + 1) // 2)
     L, P = q // p, pk // p  # terms per class; period of x mod p^k along a class
-    inv = _inv_table(m) if 64 * len(alphas) * P >= pk else None
+    if inv is None and 64 * len(alphas) * P >= pk:
+        inv = _inv_table(m)
     s, hi, lo = _root_tables(q)
     cols = min(L, BRUTE_BLOCK // P * P)  # a multiple of P
     rows = max(1, BRUTE_BLOCK // L)
@@ -226,6 +236,24 @@ def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -
             e[:size] *= e_lo[:size]
             total += complex(e[:size].sum())
     return total
+
+
+def _one_of_each_pair(alphas: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
+    """The alpha of alphas with alpha < -alpha^-1 mod p, packed in place into
+    a prefix of alphas, in order; inv[alpha] is an inverse of alpha mod a
+    power of p. Exactly one class of each pair {alpha, -alpha^-1} of units
+    with alpha^2 != -1 passes. The pass goes BRUTE_BLOCK classes at a time,
+    so that no temporary grows with p."""
+    kept = 0
+    for i in range(0, len(alphas), BRUTE_BLOCK):
+        a = alphas[i : i + BRUTE_BLOCK]
+        v = inv.take(a)
+        if len(inv) > p:  # a table mod p^k, k >= 2, so p < 216
+            v %= p
+        a = np.compress(v < p - a, a)  # a copy: the write below may overlap a
+        alphas[kept : kept + len(a)] = a
+        kept += len(a)
+    return alphas[:kept]
 
 
 def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> complex:
@@ -481,8 +509,12 @@ def gauss_factor_unified(levels: int, x3: int, D: int, p: int) -> complex:
 def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> complex:
     """E(k1, k2, x3; p^n): sum of e_q(f(t)) over admissible parameters t.
 
-    bruteforce sums termwise over every admissible t mod q (q <= 1e7),
-    class by class mod p.
+    bruteforce sums termwise over the admissible t mod q (q <= 1e7), class
+    by class mod p, over one class alpha of each pair {alpha, -alpha^-1},
+    and returns twice the real part. This is exact: t -> -1/t maps the
+    class alpha one-to-one onto the class -alpha^-1, with f(-1/t) = -f(t)
+    mod q, so the partner's sum is the conjugate; and alpha = -alpha^-1
+    would need alpha^2 = -1, which is not admissible.
     closed assembles the stationary-phase class sums over the roots of
     the stationary congruence; it is exactly 0 when no admissible root
     exists, and needs r <= n - 2.
@@ -492,7 +524,10 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
     if mode == "bruteforce":
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-        return _class_sums(f, admissible_classes(m.p), m)
+        alphas = admissible_classes(m.p)  # first: its p squares are freed before the table
+        inv = _inv_table(m)
+        half = _class_sums(f, _one_of_each_pair(alphas, inv, m.p), m, inv)
+        return complex(2.0 * half.real)
     if mode == "closed":
         if spec.r > m.n - 2:
             raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")

@@ -347,6 +347,27 @@ def test_out_into_a_missing_directory_exits_2(capsys, tmp_path, argv, name):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (["count", "--p", "7", "--n", "3", "--N", "10"], "count_smoothed"),
+        (["scan", "--p", "7", "--n", "2..3", "--nu", "0.7"], "count_smoothed"),
+        (["expsum", "--p", "7", "--n", "3", "--k1", "1", "--k2", "2", "--x3", "3"],
+         "circle_exponential_sum"),
+    ],
+)
+def test_out_directory_is_checked_before_the_work(monkeypatch, capsys, tmp_path, argv, kernel):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{kernel} ran before --out was checked")
+
+    monkeypatch.setattr(cli, kernel, refuse)
+    code = main([*argv, "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: FileNotFoundError") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_scan_n_range_with_N_range(capsys):
     code, rec = run_cli(
         capsys, "scan", "--p", "7", "--n", "2", "--N-range", "5..15:5",

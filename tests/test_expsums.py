@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pythmod.circle import enumerate_admissible_t, inverse_param, is_admissible_param
+from pythmod.circle import (
+    admissible_classes,
+    enumerate_admissible_t,
+    inverse_param,
+    is_admissible_param,
+)
 from pythmod.errors import (
     DenominatorNotUnit,
     HypothesisViolated,
@@ -517,8 +522,9 @@ def test_circle_bruteforce_matches_scalar_loop(p, n, k1, k2, x3):
 
 
 def test_circle_bruteforce_blocks_of_short_classes(monkeypatch):
-    # 516 admissible classes of 521 terms go 31 to a block: seventeen blocks,
-    # the last one short; the inverse table is built once for all of them
+    # 258 classes, one of each pair of the 516 admissible ones, of 521 terms
+    # go 31 to a block: nine blocks, the last one short; the inverse table is
+    # built once, for the pairing and the sums
     calls = []
     inv_mod_p = expsums._inv_mod_p
     monkeypatch.setattr(expsums, "_inv_mod_p", lambda p: calls.append(p) or inv_mod_p(p))
@@ -528,12 +534,33 @@ def test_circle_bruteforce_blocks_of_short_classes(monkeypatch):
 
 @pytest.mark.parametrize("p", [7, 13, 3137])
 def test_circle_bruteforce_admissible_classes(monkeypatch, p):
-    # the classes mod p handed to the class sums are exactly the admissible ones
+    # the classes mod p handed to the class sums are one of each pair
+    # {alpha, -alpha^-1}: with their partners, every admissible class once
     m = PrimePowerModulus(p, 2)
     seen = []
-    monkeypatch.setattr(expsums, "_class_sums", lambda f, alphas, mod: seen.append(alphas) or 0j)
+    monkeypatch.setattr(
+        expsums, "_class_sums", lambda f, alphas, mod, inv: seen.append(alphas.tolist()) or 0j
+    )
     circle_exponential_sum(ExpSumSpec(1, 2, 3, m), "bruteforce")
-    assert seen[0].tolist() == [t for t in range(p) if is_admissible_param(t, m)]
+    partners = [-pow(a, -1, p) % p for a in seen[0]]
+    assert sorted(seen[0] + partners) == [t for t in range(p) if is_admissible_param(t, m)]
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (7, 11, 13, 17, 29) for n in (1, 2, 3)])
+def test_class_sums_of_partner_classes_are_conjugate(p, n):
+    # t -> -1/t maps the class alpha onto the class -alpha^-1 and negates the
+    # phase mod q, so the brute force sums one class of each pair and takes
+    # twice the real part: its imaginary part is exactly 0
+    m = PrimePowerModulus(p, n)
+    rng = random.Random(f"pair:{p}:{n}")
+    k1, k2 = rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)
+    x3 = rng.choice([x for x in range(1, 3 * p) if x % p])
+    f = phase_function(k1, k2, x3)
+    for alpha in admissible_classes(p).tolist():
+        partner = -pow(alpha, -1, p) % p
+        s, t = (expsums._class_sums(f, np.array([a]), m) for a in (alpha, partner))
+        assert abs(s - t.conjugate()) <= 1e-12 * math.sqrt(m.q), alpha
+    assert circle_exponential_sum(ExpSumSpec(k1, k2, x3, m), "bruteforce").imag == 0.0
 
 
 def test_circle_bruteforce_long_classes_split_into_blocks():
