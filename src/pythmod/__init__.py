@@ -25,7 +25,6 @@ from .counting import (
     dual_triple_count,
     predict_dual_terms,
     predict_main_term,
-    r2,
     transition_check,
     unit_gauss_sums,
 )

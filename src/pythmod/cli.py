@@ -55,8 +55,11 @@ def _resolve_out(path: str) -> str:
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse --out before any work when its directory is missing or not
-    writable: the commands open it only after their count."""
+    """Refuse --out before any work when it is a directory, or when its
+    directory is missing or not writable: the commands open it only after
+    their count."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise FileNotFoundError(errno.ENOENT, "no such directory", folder)

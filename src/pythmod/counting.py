@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,10 +38,8 @@ BUCKET_MAX_Q = 2**26
 PYTH_MAX_N = 10**7
 PAIR_BLOCK = 2**16  # class pairs per block of _square_triples
 WALK_BLOCK = 2**15  # Euclid pairs per block of count_equation_box
-ROW_BLOCK = 2**14  # rows per block of count_pythagorean's lattice sums
 SPLIT_MIN = 2**12  # the least split u of count_pythagorean; one table is cheaper below it
 DUAL_MAX_L = 10**4
-R2_MAX_M = 10**14  # trial division up to 10^7
 DUAL_MAX_ENTRIES = 10**7  # q + K + 1 array entries on the dual side, ~85 bytes each
 DUAL_TOL = 1e-16  # dual frequencies with fourier(k N / q) below this are dropped
 CUTOFF = 3.5  # the box is |x| <= CUTOFF*s*N; the weight there is exp(-pi*3.5^2) < 2e-17
@@ -94,11 +92,12 @@ class CountReport:
 
 
 def predict_main_term(cfg: CountConfig) -> float:
-    """Main term: fourier_at_zero^3 * (p - s)(p - 1)/p^2 * N^3 / p^n,
-    with s the number of excluded parameter classes mod p."""
+    """Main term: scale^3 * (p - s)(p - 1)/p^2 * N^3 / p^n, with the weight's
+    scale its total mass fourier(0) and s the number of excluded parameter
+    classes mod p."""
     p = cfg.modulus.p
     s = excluded_param_count(p)
-    mass = cfg.weight.fourier_at_zero
+    mass = cfg.weight.scale
     return mass**3 * (p - s) * (p - 1) / p**2 * cfg.N**3 / cfg.modulus.q
 
 
@@ -371,43 +370,6 @@ def transition_check(m: PrimePowerModulus, N: int) -> TransitionResult:
     return TransitionResult(cong, eq, cong == eq)
 
 
-def _factorize(m: int) -> List[Tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
-def r2(m: int) -> int:
-    """Ordered representations of m as a sum of two integer squares.
-
-    Classical divisor form: 4 * prod(e+1) over primes 1 mod 4, zero when
-    a prime 3 mod 4 divides m to an odd power; r2(0) = 1.
-    """
-    if m < 0:
-        return 0
-    if m == 0:
-        return 1
-    if m > R2_MAX_M:
-        raise TooLarge(f"m = {m} above the factorization bound {R2_MAX_M}")
-    total = 4
-    for prime, e in _factorize(m):
-        if prime % 4 == 1:
-            total *= e + 1
-        elif prime % 4 == 3 and e % 2 == 1:
-            return 0
-    return total
-
-
 def _odd_mobius(M: int) -> Tuple[np.ndarray, np.ndarray]:
     """d^2 and mu(d) for the odd squarefree d <= M, sieved over the odd primes."""
     mu = np.ones(M + 1, dtype=np.int64)
@@ -426,16 +388,11 @@ def _odd_mobius(M: int) -> Tuple[np.ndarray, np.ndarray]:
 _D2, _MU = _odd_mobius(math.isqrt(PYTH_MAX_N // 5))
 
 
-def _segment_rows(lengths: np.ndarray):
-    """The rows of consecutive segments, lengths[i] rows in segment i, in
-    blocks of at most ROW_BLOCK: yields each row's segment and its offset
-    in that segment."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    for a in range(0, total, ROW_BLOCK):
-        r = np.arange(a, min(a + ROW_BLOCK, total))
-        seg = np.searchsorted(ends, r, side="right")
-        yield seg, r - (ends[seg] - lengths[seg])
+def _segment_rows(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of consecutive segments, lengths[i] rows in segment i: each
+    row's segment and its offset in that segment."""
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    return seg, np.arange(len(seg)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _hyperbola_split(N: int) -> int:
@@ -473,9 +430,9 @@ def count_pythagorean(N: int) -> int:
     values of m for each n <= isqrt(y // 2).  About u table entries and
     sqrt(N w) log N rows in all, O(N^(2/3) log N).
 
-    Exact: every row is an int64 array, taken ROW_BLOCK rows at a time,
-    and no value or sum exceeds N + 16 S(N) < 2^63; each float square
-    root is of an integer below 2^52, where its floor is exact.
+    Exact: the rows are int64 arrays, and no value or sum exceeds
+    N + 16 S(N) < 2^63; each float square root is of an integer below
+    2^52, where its floor is exact.
     """
     _check_walk_bound(N)
     u = _hyperbola_split(N)
@@ -487,17 +444,17 @@ def count_pythagorean(N: int) -> int:
     nd = np.searchsorted(_D2, u // 5, side="right")
     below = np.searchsorted(table, u // _D2[:nd], side="right")  # Q(u // d^2)
     total = -w * int(below @ _MU[:nd])  # - w P(u)
-    for d, i in _segment_rows(below):
-        total += int(_MU[d] @ (N // (_D2[d] * table[i])))
+    d, i = _segment_rows(below)
+    total += int(_MU[d] @ (N // (_D2[d] * table[i])))
     x = N // np.arange(1, w + 1, dtype=np.int64)
-    for k, d in _segment_rows(np.searchsorted(_D2, x // 5, side="right")):
-        y, mu = x[k] // _D2[d], _MU[d]  # P(N // k) is the sum of mu Q(y)
-        low = y <= u
-        total += int(mu[low] @ np.searchsorted(table, y[low], side="right"))
-        y, mu = y[~low], mu[~low]
-        for j, n in _segment_rows(np.sqrt(y // 2).astype(np.int64)):
-            n += 1
-            total += int(mu[j] @ ((np.sqrt(y[j] - n * n).astype(np.int64) - n + 1) // 2))
+    k, d = _segment_rows(np.searchsorted(_D2, x // 5, side="right"))
+    y, mu = x[k] // _D2[d], _MU[d]  # P(N // k) is the sum of mu Q(y)
+    low = y <= u
+    total += int(mu[low] @ np.searchsorted(table, y[low], side="right"))
+    y, mu = y[~low], mu[~low]
+    j, n = _segment_rows(np.sqrt(y // 2).astype(np.int64))
+    n += 1
+    total += int(mu[j] @ ((np.sqrt(y[j] - n * n).astype(np.int64) - n + 1) // 2))
     return 1 + 8 * N + 16 * total
 
 

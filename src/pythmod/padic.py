@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import DenominatorNotUnit, NotInvertible, UnitRequired
@@ -194,12 +193,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_mod(self, x: int, q: int) -> int:
         acc = 0
         x %= q
@@ -250,9 +243,6 @@ class RationalFunction:
         """Quotient rule (F1'F2 - F1F2')/F2^2, no cancellation."""
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
         return RationalFunction(num, self.den * self.den)
-
-    def __call__(self, x) -> Fraction:
-        return Fraction(self.num(x), self.den(x))
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -38,7 +38,7 @@ class WeightSpec:
     """Scaled Gaussian weight: value(x) = exp(-pi (x/s)^2).
 
     Its Fourier transform is s * exp(-pi s^2 xi^2), so the total mass
-    fourier_at_zero equals the scale s.
+    fourier(0) equals the scale s.
     """
 
     scale: float
@@ -52,10 +52,6 @@ class WeightSpec:
         u = np.asarray(xi, dtype=float) * self.scale
         out = self.scale * np.exp(-math.pi * u * u)
         return float(out) if out.ndim == 0 else out
-
-    @property
-    def fourier_at_zero(self) -> float:
-        return self.scale
 
     def truncation_radius(self, tol: float) -> float:
         """Smallest R with value(x) <= tol for all |x| > R."""

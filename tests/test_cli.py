@@ -347,25 +347,56 @@ def test_out_into_a_missing_directory_exits_2(capsys, tmp_path, argv, name):
     assert not missing.exists()
 
 
-@pytest.mark.parametrize(
-    "argv, kernel",
-    [
-        (["count", "--p", "7", "--n", "3", "--N", "10"], "count_smoothed"),
-        (["scan", "--p", "7", "--n", "2..3", "--nu", "0.7"], "count_smoothed"),
-        (["expsum", "--p", "7", "--n", "3", "--k1", "1", "--k2", "2", "--x3", "3"],
-         "circle_exponential_sum"),
-    ],
-)
-def test_out_directory_is_checked_before_the_work(monkeypatch, capsys, tmp_path, argv, kernel):
+KERNEL_RUNS = [
+    (["count", "--p", "7", "--n", "3", "--N", "10"], "count_smoothed"),
+    (["scan", "--p", "7", "--n", "2..3", "--nu", "0.7"], "count_smoothed"),
+    (["expsum", "--p", "7", "--n", "3", "--k1", "1", "--k2", "2", "--x3", "3"],
+     "circle_exponential_sum"),
+]
+
+
+def _refuse_kernel(monkeypatch, kernel):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{kernel} ran before --out was checked")
 
     monkeypatch.setattr(cli, kernel, refuse)
+
+
+@pytest.mark.parametrize("argv, kernel", KERNEL_RUNS)
+def test_out_directory_is_checked_before_the_work(monkeypatch, capsys, tmp_path, argv, kernel):
+    _refuse_kernel(monkeypatch, kernel)
     code = main([*argv, "--out", str(tmp_path / "missing" / "x.json")])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: FileNotFoundError") and captured.err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, kernel", KERNEL_RUNS)
+def test_out_that_is_a_directory_is_refused_before_the_work(
+    monkeypatch, capsys, tmp_path, argv, kernel
+):
+    _refuse_kernel(monkeypatch, kernel)
+    code = main([*argv, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: IsADirectoryError") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path.parent / (tmp_path.name + ".manifest.json")).exists()
+
+
+@pytest.mark.parametrize("argv, kernel", KERNEL_RUNS)
+def test_out_in_an_unwritable_directory_is_refused_before_the_work(
+    monkeypatch, capsys, tmp_path, argv, kernel
+):
+    # root may write anywhere, so the test stands in for os.access
+    _refuse_kernel(monkeypatch, kernel)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    code = main([*argv, "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: PermissionError") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_n_range_with_N_range(capsys):

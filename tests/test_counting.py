@@ -27,7 +27,6 @@ from pythmod.counting import (
     dual_triple_count,
     predict_dual_terms,
     predict_main_term,
-    r2,
     transition_check,
     unit_gauss_sums,
 )
@@ -82,7 +81,7 @@ def test_dual_zero_frequency_is_main_term(p, n, N):
     m, q = c.modulus, c.modulus.q
     g = unit_gauss_sums(m, 0)
     minus = g[(-np.arange(q)) % q]
-    k0 = (N * c.weight.fourier_at_zero / q) ** 3 / q * np.sum(g * g * minus).real
+    k0 = (N * c.weight.fourier(0.0) / q) ** 3 / q * np.sum(g * g * minus).real
     assert k0 == pytest.approx(predict_main_term(c), rel=1e-12)
 
 
@@ -435,8 +434,8 @@ def test_count_equation_box_past_int64_products():
 
 
 def test_count_pythagorean_memory_bound():
-    # the walk holds a block of WALK_BLOCK = 2^15 pairs in a few int64 arrays;
-    # all 2e6 pairs below PYTH_MAX_N at once would take 16 MB per array
+    # the lattice count holds its rows, about sqrt(N w) log N in all, in a few
+    # int64 arrays at once: a traced peak of 2.6 MiB at PYTH_MAX_N
     tracemalloc.start()
     try:
         count_pythagorean(PYTH_MAX_N)
@@ -458,21 +457,6 @@ def _r2_brute(m):
                     count += 1
         a += 1
     return count
-
-
-def test_r2_examples():
-    assert r2(0) == 1
-    assert r2(25) == 12
-    assert r2(3) == 0
-    assert r2(-4) == 0
-    assert r2(10**14) == 60  # 2^14 5^14: 4 * (14 + 1)
-    with pytest.raises(TooLarge, match="factorization bound"):
-        r2(10**14 + 31)  # a prime: trial division would run to 10^7
-
-
-def test_r2_brute_oracle_full_range():
-    for m in range(0, 10001):
-        assert r2(m) == _r2_brute(m), m
 
 
 def _pyth_brute(N):
@@ -501,11 +485,11 @@ def test_count_pythagorean_brute_oracle():
 
 
 def test_count_pythagorean_is_r2_prefix_sum():
-    # r2 factors by trial division and shares no code with Euclid's walk
+    # _r2_brute counts the points on each circle and shares no code with the count
     total = 1
     for N in range(0, 2001):
         if N:
-            total += 2 * r2(N * N)
+            total += 2 * _r2_brute(N * N)
         assert count_pythagorean(N) == total, N
 
 

@@ -11,8 +11,8 @@ from pythmod.weights import gaussian, poisson_check
 def test_gaussian_basics():
     w = gaussian(1.0)
     assert w.value(0.0) == 1.0
-    assert w.fourier_at_zero == 1.0
-    assert gaussian(2.0).fourier_at_zero == 2.0
+    assert w.fourier(0.0) == 1.0
+    assert gaussian(2.0).fourier(0.0) == 2.0
     for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             gaussian(bad)
