@@ -312,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to the residue class t = alpha mod p")
     sp.add_argument("--mode", choices=["bruteforce", "closed", "both"], default="both",
                     help="termwise sum, stationary-phase closed form, or both; the "
-                         "termwise circle sum takes one class of each pair {alpha, -1/alpha} "
-                         "mod p and doubles its real part, exact as f(-1/t) = -f(t) makes "
-                         "the pair's sums conjugate")
+                         "termwise circle sum walks the circle points as powers h^j of one "
+                         "generator, one of each pair {z, -z}, and doubles its real part, "
+                         "exact as f(-z) = -f(z)")
     add_common(sp)
     sp.set_defaults(func=cmd_expsum)
 

@@ -178,8 +178,9 @@ def unit_gauss_sums(m: PrimePowerModulus, k: int) -> np.ndarray:
 
 def _cube_sum(s: np.ndarray) -> float:
     # sum over a mod q of s(a)^2 s(-a).  g(-a, k) = conj g(a, -k) = conj g(a, k)
-    # and the coefficients are real, so s(-a) = conj s(a): the sum of |s(a)|^2 Re s(a)
-    return float(np.dot(s.real**2 + s.imag**2, s.real))
+    # and the coefficients are real, so s(-a) = conj s(a): the sum of |s(a)|^2 Re s(a).
+    # einsum, not np.dot: a BLAS dot wakes its threads above 10^4 entries
+    return float(np.einsum("i,i->", s.real**2 + s.imag**2, s.real))
 
 
 def predict_dual_terms(cfg: CountConfig) -> DualTerms:
@@ -226,10 +227,11 @@ def _smoothed_bucket(cfg: CountConfig) -> float:
     S = np.bincount(xs * xs % q, weights=2 * cfg.weight.value(xs / cfg.N), minlength=q)
     # T = sum over (c1, c2) of S[c1] S[c2] S[c1 + c2 mod q] = (1/q) sum over a mod q
     # of |F(a)|^2 F(a), F the DFT of S.  F(-a) = conj F(a) and q is odd: the term
-    # a = 0 plus twice the real parts of the terms a = 1..(q-1)/2
+    # a = 0 plus twice the real parts of the terms a = 1..(q-1)/2, summed without
+    # BLAS as in _cube_sum
     F = np.fft.rfft(S)
     w = F.real**2 + F.imag**2
-    return float(2 * np.dot(w, F.real) - w[0] * F[0].real) / q
+    return float(2 * np.einsum("i,i->", w, F.real) - w[0] * F[0].real) / q
 
 
 def _smoothed_triple_loop(cfg: CountConfig) -> float:

@@ -7,11 +7,11 @@ phase f(t) = x3 * (k1*(1-t^2) + 2*k2*t) / (1+t^2): stationary points of
 2*l1*a = l2*(1-a^2) mod p, their lifts, the curvature symbol, the unimodular
 Gauss factor, and the sqrt(D)-weighted lattice factor.
 
-The brute-force circle sum uses one exact symmetry of the circle phase:
-t -> -1/t sends the class alpha mod p onto the class -alpha^-1 mod p, and
-f(-1/t) = -f(t) mod q, so the two class sums are complex conjugates. No
-admissible alpha is its own partner (alpha^2 = -1 is excluded), so the sum
-is twice the real part of the termwise sum over one class of each pair.
+The brute-force circle sum walks the points z(t) = (1 - t^2, 2t)/(1 + t^2)
+of the admissible t as powers h^j of one generator h of the cyclic circle
+group mod q, where the phase is f(t) = Re(w h^j), w = x3 (k1 - i k2), and
+needs no inverse. f(-z) = -f(z) and -1 = h^(M/2), so it sums one point of
+each pair {z, -z} and returns twice the real part.
 
 Closed forms are verified against brute force elsewhere; the evaluators here
 never share code with their oracles.
@@ -19,13 +19,14 @@ never share code with their oracles.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
-from .circle import admissible_classes, is_admissible_param
+from .circle import is_admissible_param
 from .errors import DenominatorNotUnit, HypothesisViolated, NotResidue, TooLarge, UnitRequired
 from .padic import (
     Poly,
@@ -40,7 +41,7 @@ from .padic import (
 from .weights import _box_radius
 
 BRUTE_MAX_Q = 10**7
-BRUTE_BLOCK = 2**14  # terms per block of the brute force's (class, j) grid
+BRUTE_BLOCK = 2**14  # terms per block of the brute-force grids
 GAUSS_MAX_Q = 10**6
 
 TWO_PI = 2.0 * math.pi
@@ -179,12 +180,9 @@ def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     return s, hi, lo
 
 
-def _class_sums(
-    f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus, inv: Optional[np.ndarray] = None
-) -> complex:
+def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> complex:
     """Sum of e_q(f(x)) over the classes x = alpha mod p, x in [1, q], of the
     alphas in an integer array (den(alpha) a unit): termwise, in exact residues.
-    inv is _inv_table(m), when the caller has built it already.
 
     Residues are integers held in float64. A product of two residues plus
     a residue is at most q^2 + q, where _fmod reduces exactly while
@@ -202,8 +200,7 @@ def _class_sums(
     p, q = m.p, m.q
     pk = p ** ((m.n + 1) // 2)
     L, P = q // p, pk // p  # terms per class; period of x mod p^k along a class
-    if inv is None and 64 * len(alphas) * P >= pk:
-        inv = _inv_table(m)
+    inv = _inv_table(m) if 64 * len(alphas) * P >= pk else None
     s, hi, lo = _root_tables(q)
     cols = min(L, BRUTE_BLOCK // P * P)  # a multiple of P
     rows = max(1, BRUTE_BLOCK // L)
@@ -238,22 +235,153 @@ def _class_sums(
     return total
 
 
-def _one_of_each_pair(alphas: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
-    """The alpha of alphas with alpha < -alpha^-1 mod p, packed in place into
-    a prefix of alphas, in order; inv[alpha] is an inverse of alpha mod a
-    power of p. Exactly one class of each pair {alpha, -alpha^-1} of units
-    with alpha^2 != -1 passes. The pass goes BRUTE_BLOCK classes at a time,
-    so that no temporary grows with p."""
-    kept = 0
-    for i in range(0, len(alphas), BRUTE_BLOCK):
-        a = alphas[i : i + BRUTE_BLOCK]
-        v = inv.take(a)
-        if len(inv) > p:  # a table mod p^k, k >= 2, so p < 216
-            v %= p
-        a = np.compress(v < p - a, a)  # a copy: the write below may overlap a
-        alphas[kept : kept + len(a)] = a
-        kept += len(a)
-    return alphas[:kept]
+def _gauss_mul(a: Tuple[int, int], b: Tuple[int, int], mod: int) -> Tuple[int, int]:
+    """(a1 + i a2)(b1 + i b2) mod mod, for pairs of ints."""
+    return (a[0] * b[0] - a[1] * b[1]) % mod, (a[0] * b[1] + a[1] * b[0]) % mod
+
+
+def _gauss_pow(z: Tuple[int, int], e: int, mod: int) -> Tuple[int, int]:
+    """z^e mod mod, for a pair of ints z = (y1, y2) read as y1 + i y2."""
+    out = (1, 0)
+    while e:
+        if e & 1:
+            out = _gauss_mul(out, z, mod)
+        z = _gauss_mul(z, z, mod)
+        e >>= 1
+    return out
+
+
+def _circle_order_mod_p(p: int) -> int:
+    """p - (-1/p), the order of the circle group y1^2 + y2^2 = 1 mod p."""
+    return p - 1 if p % 4 == 1 else p + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _circle_generator(p: int, n: int) -> Tuple[int, int]:
+    """A generator (y1, y2) of the circle group C(p^n) = {y1 + i y2 :
+    y1^2 + y2^2 = 1 mod p^n}, which is cyclic of order M = (p - eps) p^(n-1),
+    eps = (-1/p).
+
+    Tries z = z(t) = (1 - t^2, 2t) / (1 + t^2) for t = 2, 3, ... z mod p
+    generates C(p) when z^((p - eps)/l) != 1 mod p for every prime l of
+    p - eps, found by trial division. Then z^(p - eps) lies in the kernel
+    of reduction mod p, cyclic of order p^(n-1), and generates it when it
+    is not 1 mod p^2. So z has order M.
+    """
+    q, order = p**n, _circle_order_mod_p(p)
+    primes, rest, f = [], order, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    t = 1
+    while True:
+        t += 1
+        if (1 + t * t) % p == 0:
+            continue
+        inv = pow(1 + t * t, -1, q)
+        z = ((1 - t * t) * inv % q, 2 * t * inv % q)
+        if any(_gauss_pow(z, order // l, p) == (1, 0) for l in primes):
+            continue
+        if n == 1 or _gauss_pow(z, order, p * p) != (1, 0):
+            return z
+
+
+def _gauss_powers(start: Tuple[int, int], g: Tuple[int, int], count: int, q: int) -> np.ndarray:
+    """Float64 residues of start * g^k mod q for k < count, real parts in
+    row 0 and imaginary parts in row 1: the first k entries times g^k give
+    the next k. The imaginary part a s + b c of (a + i b)(c + i s) is taken
+    as a s - b (q - c), so that both parts stay within q^2 of 0, where
+    _fmod is exact."""
+    out, t = np.empty((2, count)), np.empty((2, count))
+    out[:, 0] = start
+    k = 1
+    while k < count:
+        j = min(k, count - k)
+        (c, s), (a, b) = g, out[:, :j]
+        np.subtract(a * c, b * s, out=out[0, k : k + j])
+        np.subtract(a * s, b * (q - c), out=out[1, k : k + j])
+        _fmod(out[:, k : k + j], q, t[:, :j])
+        g = _gauss_mul(g, g, q)
+        k += j
+    return out
+
+
+def _circle_phases(w: Tuple[int, int], m: PrimePowerModulus) -> Iterator[Tuple[int, np.ndarray]]:
+    """Blocks (sign, z) of phases z = Re(w h^j) mod q, int64, h the generator
+    of C(q), such that the signed blocks hold each j in [0, M/2) with
+    j != 0 mod d exactly once, d = (p - eps)/4. Those h^j are the points
+    z(t) of the admissible parameters t, one of each pair {z, -z}:
+    t -> z(t) is one-to-one onto the z != -1 mod p, and t is admissible
+    exactly when z mod p is not in {1, -1, i, -i}, the subgroup of order 4
+    of the cyclic C(p), whose elements are the powers h^j with d | j.
+
+    j = u L + v is a grid of a row table w h^(u L) = A_u + i B_u and a
+    column table h^v = c_v + i s_v, about sqrt(M/2) entries each, so a
+    phase is A_u c_v - B_u s_v, both products below q^2, reduced by _fmod.
+    When d <= sqrt(M/2), L is a multiple of d and the columns v = 0 mod d
+    are dropped; otherwise (only at n = 1, since d < p) every j is summed
+    and the 2 p^(n-1) phases with d | j come back with sign -1. The grid
+    goes in blocks of about BRUTE_BLOCK terms (at least one row), the
+    last row cut short. p = 3 and 5 have d = 1, so no admissible parameter
+    and no block.
+    """
+    p, q = m.p, m.q
+    order = _circle_order_mod_p(p)
+    d, J = order // 4, order * (q // p) // 2
+    if d == 1:
+        return
+    h = _circle_generator(p, m.n)
+    L = math.isqrt(J)
+    drop = d <= L
+    if drop:
+        L -= L % d
+    full, rest = divmod(J, L)
+    v = np.arange(L)
+    if drop:
+        v = v[v % d != 0]
+    c, s = _gauss_powers((1, 0), h, L, q)[:, v]
+    A, B = _gauss_powers(w, _gauss_pow(h, L, q), full + 1, q)
+    K = len(v)
+    rows = max(1, BRUTE_BLOCK // K)
+    blocks = [(u, min(u + rows, full), K) for u in range(0, full, rows)]
+    short = int(np.searchsorted(v, rest))  # the columns v < rest of row full
+    if short:
+        blocks.append((full, full + 1, short))
+    x, t = np.empty(rows * K), np.empty(rows * K)
+    for u0, u1, k in blocks:
+        xb, tb = (a[: (u1 - u0) * k].reshape(u1 - u0, k) for a in (x, t))
+        np.multiply(A[u0:u1, None], c[:k], out=xb)
+        np.multiply(B[u0:u1, None], s[:k], out=tb)
+        xb -= tb
+        yield 1, _fmod(xb, q, tb).reshape(-1).astype(np.int64)
+    if not drop:
+        yield -1, _gauss_powers(w, _gauss_pow(h, d, q), J // d, q)[0].astype(np.int64)
+
+
+def _circle_bruteforce(spec: ExpSumSpec) -> float:
+    """Re of the sum of e_q(f(t)) over the admissible t of one of each pair
+    {z(t), -z(t)}: f(t) = Re(w z(t)) with w = x3 (k1 - i k2). e_q(z) is the
+    product of two entries of the root tables; each block sums pairwise,
+    as np.sum does, through buffers allocated once per call."""
+    m = spec.modulus
+    q = m.q
+    w = (spec.x3 * spec.k1 % q, -spec.x3 * spec.k2 % q)
+    sh, hi, lo = _root_tables(q)
+    total, e = 0.0, np.empty(0, dtype=complex)
+    for sign, z in _circle_phases(w, m):
+        size = len(z)
+        if size > len(e):
+            e, e_lo = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        np.take(hi, z >> sh, out=e[:size], mode="clip")
+        np.take(lo, z & (len(lo) - 1), out=e_lo[:size], mode="clip")
+        e[:size] *= e_lo[:size]
+        total += sign * e[:size].sum().real
+    return total
 
 
 def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> complex:
@@ -509,32 +637,27 @@ def gauss_factor_unified(levels: int, x3: int, D: int, p: int) -> complex:
 def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> complex:
     """E(k1, k2, x3; p^n): sum of e_q(f(t)) over admissible parameters t.
 
-    bruteforce sums termwise over the admissible t mod q (q <= 1e7), class
-    by class mod p, over one class alpha of each pair {alpha, -alpha^-1},
-    and returns twice the real part. This is exact: t -> -1/t maps the
-    class alpha one-to-one onto the class -alpha^-1, with f(-1/t) = -f(t)
-    mod q, so the partner's sum is the conjugate; and alpha = -alpha^-1
-    would need alpha^2 = -1, which is not admissible.
+    bruteforce sums termwise over the admissible t mod q (q <= 1e7), as
+    the circle points z(t) = h^j, j < M/2, of a generator h of the circle
+    group (see _circle_phases), and returns twice the real part. This is
+    exact: z -> -z = h^(M/2) z keeps the admissible points and negates
+    f = Re(w z) mod q, so the other half of the sum is the conjugate.
     closed assembles the stationary-phase class sums over the roots of
     the stationary congruence; it is exactly 0 when no admissible root
     exists, and needs r <= n - 2.
     """
     m = spec.modulus
-    f = spec.phase()
     if mode == "bruteforce":
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-        alphas = admissible_classes(m.p)  # first: its p squares are freed before the table
-        inv = _inv_table(m)
-        half = _class_sums(f, _one_of_each_pair(alphas, inv, m.p), m, inv)
-        return complex(2.0 * half.real)
+        return complex(2.0 * _circle_bruteforce(spec))
     if mode == "closed":
         if spec.r > m.n - 2:
             raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")
         if (spec.l1 * spec.l2) % m.p == 0:
             return 0j  # the stationary congruence forces t = 0 or +-1 mod p
         pts = stationary_points(spec.l1, spec.l2, m.p)
-        total = 0j
+        f, total = spec.phase(), 0j
         for root in pts.roots:
             if not is_admissible_param(root, m):
                 continue  # only the double root lands here

@@ -221,6 +221,18 @@ def test_count_smoothed_takes_one_forward_fft(monkeypatch):
     assert count_smoothed(c).measured_T == first  # reruns are bit-identical
 
 
+def test_smoothed_sums_take_no_blas_dot(monkeypatch):
+    # a float np.dot of more than 10^4 entries wakes OpenBLAS's threads, and
+    # where they sleep that costs a scheduler quantum (8 ms) a call; the
+    # bucket kernel's sum here has 14281 entries, the cube sum 16807
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    count_smoothed(cfg(13, 4, 600))
+    predict_dual_terms(cfg(7, 5, 343))
+
+
 @pytest.mark.parametrize("p,n,N", [(7, 4, 60), (7, 5, 343), (7, 6, 3545), (11, 3, 40), (13, 4, 300)])
 def test_dual_sums_conjugate_symmetric(p, n, N):
     # s(-a) = conj s(a), which lets _cube_sum read the cube sum as the sum of

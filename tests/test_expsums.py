@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from pythmod.circle import (
     admissible_classes,
     enumerate_admissible_t,
     inverse_param,
-    is_admissible_param,
 )
 from pythmod.errors import (
     DenominatorNotUnit,
@@ -521,36 +521,100 @@ def test_circle_bruteforce_matches_scalar_loop(p, n, k1, k2, x3):
     check_circle_bruteforce_by_scalar_loop(k1, k2, x3, PrimePowerModulus(p, n))
 
 
-def test_circle_bruteforce_blocks_of_short_classes(monkeypatch):
-    # 258 classes, one of each pair of the 516 admissible ones, of 521 terms
-    # go 31 to a block: nine blocks, the last one short; the inverse table is
-    # built once, for the pairing and the sums
-    calls = []
-    inv_mod_p = expsums._inv_mod_p
-    monkeypatch.setattr(expsums, "_inv_mod_p", lambda p: calls.append(p) or inv_mod_p(p))
+def _circle_order(p, n):
+    return (p - 1 if p % 4 == 1 else p + 1) * p ** (n - 1)
+
+
+def test_circle_bruteforce_blocks_of_short_classes():
+    # the brute force walks the grid j = u L + v in blocks of whole rows,
+    # about BRUTE_BLOCK terms each. At 521^2, J = M/2 = 135460, d = 130 and
+    # L = 260: 521 rows of 258 kept columns, 63 rows to a block, so eight
+    # full blocks and a short one. At 7^4, J = 1372, d = 2 and L = 36: 38
+    # rows of 18 kept columns in one block, then the kept columns v < 4 of
+    # the cut row 38
+    for (p, n), sizes in [((521, 2), [63 * 258] * 8 + [17 * 258]), ((7, 4), [38 * 18, 2])]:
+        m = PrimePowerModulus(p, n)
+        blocks = [(sign, len(z)) for sign, z in expsums._circle_phases((1, 0), m)]
+        assert blocks == [(1, size) for size in sizes]
+        assert max(sizes) <= BRUTE_BLOCK
+        J, d = _circle_order(p, n) // 2, (p - 1 if p % 4 == 1 else p + 1) // 4
+        assert sum(sizes) == J - J // d
     check_circle_bruteforce_by_scalar_loop(123456, 7890, 3, PrimePowerModulus(521, 2))
-    assert calls == [521]
+    check_circle_bruteforce_by_scalar_loop(5, 6, 2, PrimePowerModulus(7, 4))
+
+
+def _enumerated_points(m):
+    """Net multiset of the points z = h^j the brute force sums, and of their
+    negatives -z: the phases of w = 1 are y1 = Re z, those of w = -i are
+    y2 = Im z, block by block in the same order."""
+    q, net = m.q, Counter()
+    by_w = [list(expsums._circle_phases(w, m)) for w in ((1, 0), (0, q - 1))]
+    for (sign, y1s), (sign2, y2s) in zip(*by_w, strict=True):
+        assert sign == sign2
+        for y1, y2 in zip(y1s.tolist(), y2s.tolist(), strict=True):
+            net[y1, y2] += sign
+            net[-y1 % q, -y2 % q] += sign
+    return net
 
 
 @pytest.mark.parametrize("p", [7, 13, 3137])
-def test_circle_bruteforce_admissible_classes(monkeypatch, p):
-    # the classes mod p handed to the class sums are one of each pair
-    # {alpha, -alpha^-1}: with their partners, every admissible class once
-    m = PrimePowerModulus(p, 2)
-    seen = []
-    monkeypatch.setattr(
-        expsums, "_class_sums", lambda f, alphas, mod, inv: seen.append(alphas.tolist()) or 0j
-    )
-    circle_exponential_sum(ExpSumSpec(1, 2, 3, m), "bruteforce")
-    partners = [-pow(a, -1, p) % p for a in seen[0]]
-    assert sorted(seen[0] + partners) == [t for t in range(p) if is_admissible_param(t, m)]
+def test_circle_bruteforce_admissible_classes(p):
+    # the points the brute force sums, with their negatives and net of the
+    # blocks it subtracts, map back by t = y2 (1 + y1)^-1 onto every
+    # admissible t exactly once. 7 drops the columns d | v at every n; 13
+    # and 3137 at n = 1 have d > sqrt(M/2) and subtract the points d | j
+    for n in range(1, 4):
+        m = PrimePowerModulus(p, n)
+        if m.q > 5000:
+            break
+        net = _enumerated_points(m)
+        assert all((y1 * y1 + y2 * y2 - 1) % m.q == 0 for y1, y2 in net)
+        assert set(net.values()) <= {0, 1}
+        ts = sorted(y2 * pow(1 + y1, -1, m.q) % m.q for (y1, y2), c in net.items() if c)
+        assert ts == enumerate_admissible_t(m), (p, n)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 29, 3137])
+def test_circle_generator_has_order_M(p):
+    # C(p^n) is cyclic of order M = (p - (-1/p)) p^(n-1): h^M = 1, and
+    # h^(M/l) != 1 for each prime l | M
+    def mul(a, b, q):
+        return (a[0] * b[0] - a[1] * b[1]) % q, (a[0] * b[1] + a[1] * b[0]) % q
+
+    def power(z, e, q):
+        out = (1, 0)
+        for bit in bin(e)[2:]:
+            out = mul(out, out, q)
+            if bit == "1":
+                out = mul(out, z, q)
+        return out
+
+    for n in range(1, 5):
+        q, M = p**n, _circle_order(p, n)
+        if q > 10**7:
+            break
+        h = expsums._circle_generator(p, n)
+        assert (h[0] ** 2 + h[1] ** 2 - 1) % q == 0
+        assert power(h, M, q) == (1, 0)
+        primes = {l for l in range(2, p + 2) if M % l == 0 and is_prime(l)}
+        assert all(power(h, M // l, q) != (1, 0) for l in primes), (p, n, primes)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_circle_bruteforce_vanishes_without_admissible_parameters(p):
+    # every unit t mod 3 or 5 has t^2 = +-1: d = (p - (-1/p))/4 = 1
+    for n in range(1, 5):
+        m = PrimePowerModulus(p, n)
+        assert enumerate_admissible_t(m) == []
+        assert list(expsums._circle_phases((1, 0), m)) == []
+        assert circle_exponential_sum(ExpSumSpec(1, 2, 1, m), "bruteforce") == 0
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (7, 11, 13, 17, 29) for n in (1, 2, 3)])
 def test_class_sums_of_partner_classes_are_conjugate(p, n):
     # t -> -1/t maps the class alpha onto the class -alpha^-1 and negates the
-    # phase mod q, so the brute force sums one class of each pair and takes
-    # twice the real part: its imaginary part is exactly 0
+    # phase mod q, so the two class sums are conjugate; the brute force, which
+    # sums one of each pair {z, -z} of circle points, is exactly real
     m = PrimePowerModulus(p, n)
     rng = random.Random(f"pair:{p}:{n}")
     k1, k2 = rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)
