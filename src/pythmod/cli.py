@@ -309,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k2", type=int, required=True, help="dual frequency of y2")
     sp.add_argument("--x3", type=int, required=True, help="unit scaling of the phase")
     sp.add_argument("--alpha", type=int, default=None,
-                    help="restrict to the residue class t = alpha mod p")
+                    help="restrict to the residue class t = alpha mod p, 1 + alpha^2 a "
+                         "unit; its termwise sum walks the coset z(alpha) <h^(p - eps)> "
+                         "of the circle points z(t)")
     sp.add_argument("--mode", choices=["bruteforce", "closed", "both"], default="both",
                     help="termwise sum, stationary-phase closed form, or both; the "
                          "termwise circle sum walks the circle points as powers h^j of one "

@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .circle import excluded_param_count
 from .errors import RangeViolation, SmallPrime, TooLarge
-from .expsums import _inv_unit_vec, gauss_sum_closed
-from .padic import PrimePowerModulus, is_prime
+from .expsums import gauss_sum_closed
+from .padic import PrimePowerModulus, _primitive_root, is_prime
 from .weights import WeightSpec, _box_radius
 
 TRIPLE_LOOP_MAX_CELLS = 10**9
@@ -134,28 +134,48 @@ def _complete_sums(p: int, mm: int, j: int, c: np.ndarray, chi: np.ndarray, coef
     return p**j * gauss_sum_closed(q2) * symbol * np.fft.fft(buckets)[c % q2]
 
 
+def _unit_levels(m: PrimePowerModulus) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(u, c, chi) for each level j = 0..n-1: the units u mod p^(n-j) and
+    c = (4u)^-1 mod p^(n-j) as int64, and chi = (u/p) as int8.
+
+    The units mod p^(n-j) are the g^i, i < phi(p^(n-j)), of one primitive
+    root g mod q, so c = 4^-1 g^(-i) is the same table read backwards and
+    chi = (-1)^i. The table of g^i mod q doubles: the first k entries times
+    g^k give the next k, each product below q^2 < 2^62.
+    """
+    p, q = m.p, m.q
+    powers = np.empty(q // p * (p - 1), dtype=np.int64)
+    powers[0], k, gk = 1, 1, _primitive_root(p, m.n)
+    while k < len(powers):
+        j = min(k, len(powers) - k)
+        np.multiply(powers[:j], gk, out=powers[k : k + j])
+        powers[k : k + j] %= q
+        gk = gk * gk % q
+        k += j
+    inv4 = pow(4, -1, q)
+    for j in range(m.n):
+        qj, h = p ** (m.n - j), len(powers) // p**j  # h = phi(p^(n-j)), even
+        c = np.roll(powers[h - 1 :: -1], 1) * inv4 % qj
+        yield powers[:h] % qj, c, np.tile(np.array([1, -1], dtype=np.int8), h // 2)
+
+
 def _dual_sums(m: PrimePowerModulus, coef: np.ndarray) -> np.ndarray:
     """s(a) = sum over k >= 0 of coef[k] * g(a, k), for a = 0..q-1.
 
     Level by level in the p-adic order j of a = p^j u: the complete sum
     over all x mod q minus the sum over the non-units x = p y, y mod
     p^(n-1).  At a = 0 both are scalars and g(0, k) is the Ramanujan sum.
+    The units u of each level, with (4u)^-1 and (u/p), come from the
+    powers of one primitive root (_unit_levels).
     """
     p, n = m.p, m.n
-    squares = np.zeros(p, dtype=bool)
-    squares[np.arange(p, dtype=np.int64) ** 2 % p] = True
-    u = np.arange(1, m.q, dtype=np.int64)
-    u = u[u % p != 0]
-    c = _inv_unit_vec(4 * u % m.q, m)  # mod q; reduced mod q' where used
-    chi = np.where(squares[u % p], 1, -1)
     s = np.empty(m.q, dtype=complex)
     s[0] = _complete_sums(p, n, n, None, None, coef) - _complete_sums(
         p, n - 1, n + 1, None, None, coef
     )
-    for j in range(n):
-        h = len(u) // p**j  # the units below p^(n-j) come first
-        s[p**j * u[:h]] = _complete_sums(p, n, j, c[:h], chi[:h], coef) - _complete_sums(
-            p, n - 1, j + 1, c[:h], chi[:h], coef
+    for j, (u, c, chi) in enumerate(_unit_levels(m)):
+        s[p**j * u] = _complete_sums(p, n, j, c, chi, coef) - _complete_sums(
+            p, n - 1, j + 1, c, chi, coef
         )
     return s
 

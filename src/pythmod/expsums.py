@@ -1,17 +1,19 @@
 """Complete exponential sums e_q(f(x)) to odd prime-power moduli.
 
-Provides a termwise brute-force evaluator for rational phase functions, the
-closed-form stationary-phase evaluation of sums over single residue classes,
-quadratic Gauss sums, and the specialized quantities attached to the circle
-phase f(t) = x3 * (k1*(1-t^2) + 2*k2*t) / (1+t^2): stationary points of
-2*l1*a = l2*(1-a^2) mod p, their lifts, the curvature symbol, the unimodular
-Gauss factor, and the sqrt(D)-weighted lattice factor.
+Provides brute-force evaluators of the circle sum and of its single-class
+sums, the closed-form stationary-phase evaluation of sums over single
+residue classes, quadratic Gauss sums, and the specialized quantities
+attached to the circle phase f(t) = x3 * (k1*(1-t^2) + 2*k2*t) / (1+t^2):
+stationary points of 2*l1*a = l2*(1-a^2) mod p, their lifts, the curvature
+symbol, the unimodular Gauss factor, and the sqrt(D)-weighted lattice factor.
 
-The brute-force circle sum walks the points z(t) = (1 - t^2, 2t)/(1 + t^2)
-of the admissible t as powers h^j of one generator h of the cyclic circle
-group mod q, where the phase is f(t) = Re(w h^j), w = x3 (k1 - i k2), and
-needs no inverse. f(-z) = -f(z) and -1 = h^(M/2), so it sums one point of
-each pair {z, -z} and returns twice the real part.
+Both brute forces walk the points z(t) = (1 - t^2, 2t)/(1 + t^2) as powers
+of one generator h of the cyclic circle group mod q, where the phase is
+f(t) = Re(w z), w = x3 (k1 - i k2), and need no inverse. The circle sum
+takes the h^j of the admissible t: f(-z) = -f(z) and -1 = h^(M/2), so it
+sums one point of each pair {z, -z} and returns twice the real part. A
+class t = alpha mod p is one coset z(alpha) <h^(p - eps)>, walked the same
+way.
 
 Closed forms are verified against brute force elsewhere; the evaluators here
 never share code with their oracles.
@@ -32,6 +34,7 @@ from .padic import (
     Poly,
     PrimePowerModulus,
     RationalFunction,
+    _prime_divisors,
     _sqrt_mod_prime,
     eval_rational_mod,
     inv_mod,
@@ -98,79 +101,6 @@ def _fmod(a: np.ndarray, q: int, t: np.ndarray) -> np.ndarray:
     return a
 
 
-def _horner(poly: Poly, x: np.ndarray, q: int, acc: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """poly(x) mod q into acc, for float64 residues 0 <= x < q broadcast to
-    acc's shape: Horner, reduced by _fmod where the next product could pass
-    q^2, and at the end; t is scratch."""
-    cs = [c % q for c in reversed(poly.coeffs)] or [0]
-    acc.fill(cs[0])
-    top = cs[0]  # acc <= top
-    for c in cs[1:]:
-        if top >= q:
-            _fmod(acc, q, t)
-            top = q - 1
-        acc *= x
-        top *= q - 1
-        if c:
-            acc += c
-            top += c
-    return _fmod(acc, q, t) if top >= q else acc
-
-
-def _newton_step(a: np.ndarray, x: np.ndarray, q: int, out: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """out = x (2 - a x) mod q, for float64 residues: if x inverts a mod p^j,
-    out inverts it mod p^2j. out and t have the broadcast shape of a and x;
-    out must not be x."""
-    np.multiply(a, x, out=t)
-    _fmod(t, q, out)
-    np.subtract(2, t, out=t)
-    np.multiply(x, t, out=out)
-    return _fmod(out, q, t)
-
-
-def _inv_mod_p(p: int) -> np.ndarray:
-    """u^-1 mod p at index u (0 at 0), float64: with p = k u + r, u^-1 =
-    -k r^-1, and the run of u with p // u = k has every r below it, so
-    O(sqrt(p)) runs. Each run is cut into pieces of BRUTE_BLOCK, so that
-    no temporary grows with p (the run of k = 1 alone is p/2 long)."""
-    inv, u0 = np.zeros(p), 2
-    inv[1] = 1
-    while u0 < p:
-        k = p // u0
-        u = np.arange(u0, min(p // k + 1, p, u0 + BRUTE_BLOCK), dtype=np.int64)
-        v = inv[p - k * u]
-        v *= p - k
-        inv[u] = _fmod(v, p, np.empty_like(v))
-        u0 = int(u[-1]) + 1
-    return inv
-
-
-def _inv_table(m: PrimePowerModulus) -> np.ndarray:
-    """u^-1 mod p^k at index u < p^k (0 at non-units), k = ceil(n/2), float64:
-    the inverses mod p, tiled, then ceil(log2 k) Newton steps over the
-    p^k <= sqrt(q p) entries."""
-    k = (m.n + 1) // 2
-    inv = _inv_mod_p(m.p)
-    if k == 1:
-        return inv
-    pk = m.p**k
-    a = np.arange(pk, dtype=float)
-    inv = np.tile(inv, pk // m.p)
-    for _ in range((k - 1).bit_length()):
-        inv = _newton_step(a, inv, pk, np.empty(pk), np.empty(pk))
-    return inv
-
-
-def _inv_unit_vec(a: np.ndarray, m: PrimePowerModulus) -> np.ndarray:
-    """Inverses mod q, as int64, of the units in the int64 array a: the
-    inverse mod p^ceil(n/2) from _inv_table, then one Newton step."""
-    table = _inv_table(m)
-    x = table[a % len(table)]
-    if len(table) < m.q:
-        x = _newton_step((a % m.q).astype(float), x, m.q, np.empty_like(x), np.empty_like(x))
-    return x.astype(np.int64)
-
-
 def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     """(s, hi, lo) with e_q(z) = hi[z >> s] * lo[z & (2^s - 1)] for 0 <= z < q,
     s = ceil(bitlen(q) / 2): about sqrt(q) entries each, one np.exp each."""
@@ -178,61 +108,6 @@ def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     lo = np.exp(TWO_PI * 1j / q * np.arange(1 << s))
     hi = np.exp(TWO_PI * 1j / q * (np.arange(((q - 1) >> s) + 1) << s))
     return s, hi, lo
-
-
-def _class_sums(f: RationalFunction, alphas: np.ndarray, m: PrimePowerModulus) -> complex:
-    """Sum of e_q(f(x)) over the classes x = alpha mod p, x in [1, q], of the
-    alphas in an integer array (den(alpha) a unit): termwise, in exact residues.
-
-    Residues are integers held in float64. A product of two residues plus
-    a residue is at most q^2 + q, where _fmod reduces exactly while
-    q (q + 2) < 2^51. The inverse of den(x) is read from a table mod p^k,
-    k = ceil(n/2), at den(x) mod p^k, then lifted by one Newton step to
-    p^2k >= q. den(x) mod p^k depends only on x mod p^k, which runs through
-    p^(k-1) values along a class, so the table is read once per class and
-    the result broadcast. The table is built once per call, unless the sum
-    needs fewer than p^k / 64 of those reads: one pow call costs about as
-    much as 60 table entries at p = 10^7. e_q(z) is the product of two
-    entries of the root tables. The grid of x = alpha + p j is walked in
-    blocks of about BRUTE_BLOCK terms, several short classes or part of a
-    long one, through buffers allocated once per call; each block sums
-    pairwise, as np.sum does."""
-    p, q = m.p, m.q
-    pk = p ** ((m.n + 1) // 2)
-    L, P = q // p, pk // p  # terms per class; period of x mod p^k along a class
-    inv = _inv_table(m) if 64 * len(alphas) * P >= pk else None
-    s, hi, lo = _root_tables(q)
-    cols = min(L, BRUTE_BLOCK // P * P)  # a multiple of P
-    rows = max(1, BRUTE_BLOCK // L)
-    x, d, y, t = (np.empty(rows * cols) for _ in range(4))
-    e, e_lo = np.empty(rows * cols, dtype=complex), np.empty(rows * cols, dtype=complex)
-    pj = p * np.arange(cols, dtype=float)
-    total = 0j
-    for i in range(0, len(alphas), rows):
-        a = alphas[i : i + rows, None].astype(float)
-        r = len(a)
-        d0 = _horner(f.den, a + pj[:P], pk, np.empty((r, P)), np.empty((r, P)))
-        if inv is None:
-            y0 = np.array([pow(int(v), -1, pk) for v in d0.flat], dtype=float)
-        else:
-            y0 = inv[d0.astype(np.intp)]
-        y0 = y0.reshape(r, 1, P)
-        for c0 in range(0, L, cols):
-            size = r * min(cols, L - c0)
-            xb, db, yb, tb = (b[:size].reshape(r, -1, P) for b in (x, d, y, t))
-            np.add(a[:, :, None] + p * c0, pj[: size // r].reshape(1, -1, P), out=xb)
-            if pk < q:
-                _newton_step(_horner(f.den, xb, q, db, tb), y0, q, yb, tb)
-            else:
-                yb = y0
-            _horner(f.num, xb, q, db, tb)
-            db *= yb
-            z = _fmod(db, q, tb).reshape(-1).astype(np.int64)
-            np.take(hi, z >> s, out=e[:size], mode="clip")
-            np.take(lo, z & (len(lo) - 1), out=e_lo[:size], mode="clip")
-            e[:size] *= e_lo[:size]
-            total += complex(e[:size].sum())
-    return total
 
 
 def _gauss_mul(a: Tuple[int, int], b: Tuple[int, int], mod: int) -> Tuple[int, int]:
@@ -269,15 +144,7 @@ def _circle_generator(p: int, n: int) -> Tuple[int, int]:
     is not 1 mod p^2. So z has order M.
     """
     q, order = p**n, _circle_order_mod_p(p)
-    primes, rest, f = [], order, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
+    primes = _prime_divisors(order)
     t = 1
     while True:
         t += 1
@@ -311,43 +178,45 @@ def _gauss_powers(start: Tuple[int, int], g: Tuple[int, int], count: int, q: int
     return out
 
 
-def _circle_phases(w: Tuple[int, int], m: PrimePowerModulus) -> Iterator[Tuple[int, np.ndarray]]:
-    """Blocks (sign, z) of phases z = Re(w h^j) mod q, int64, h the generator
-    of C(q), such that the signed blocks hold each j in [0, M/2) with
-    j != 0 mod d exactly once, d = (p - eps)/4. Those h^j are the points
-    z(t) of the admissible parameters t, one of each pair {z, -z}:
-    t -> z(t) is one-to-one onto the z != -1 mod p, and t is admissible
-    exactly when z mod p is not in {1, -1, i, -i}, the subgroup of order 4
-    of the cyclic C(p), whose elements are the powers h^j with d | j.
-
-    j = u L + v is a grid of a row table w h^(u L) = A_u + i B_u and a
-    column table h^v = c_v + i s_v, about sqrt(M/2) entries each, so a
-    phase is A_u c_v - B_u s_v, both products below q^2, reduced by _fmod.
-    When d <= sqrt(M/2), L is a multiple of d and the columns v = 0 mod d
-    are dropped; otherwise (only at n = 1, since d < p) every j is summed
-    and the 2 p^(n-1) phases with d | j come back with sign -1. The grid
-    goes in blocks of about BRUTE_BLOCK terms (at least one row), the
-    last row cut short. p = 3 and 5 have d = 1, so no admissible parameter
-    and no block.
-    """
-    p, q = m.p, m.q
-    order = _circle_order_mod_p(p)
-    d, J = order // 4, order * (q // p) // 2
-    if d == 1:
-        return
-    h = _circle_generator(p, m.n)
-    L = math.isqrt(J)
-    drop = d <= L
+@functools.lru_cache(maxsize=64)
+def _walk_tables(step: Tuple[int, int], count: int, q: int, d: int):
+    """The tables of _walk's grid, cached per walk, read-only:
+    (L, v, cs, step^L, sub), with v the columns kept, cs the column table
+    step^v (real parts in row 0, imaginary parts in row 1) and sub = step^d
+    when the powers with d | j are subtracted, else None."""
+    L = math.isqrt(count)
+    drop = 0 < d <= L
     if drop:
         L -= L % d
-    full, rest = divmod(J, L)
     v = np.arange(L)
     if drop:
         v = v[v % d != 0]
-    c, s = _gauss_powers((1, 0), h, L, q)[:, v]
-    A, B = _gauss_powers(w, _gauss_pow(h, L, q), full + 1, q)
+    cs = _gauss_powers((1, 0), step, L, q)[:, v]
+    v.flags.writeable = cs.flags.writeable = False
+    return L, v, cs, _gauss_pow(step, L, q), _gauss_pow(step, d, q) if d and not drop else None
+
+
+def _walk(
+    start: Tuple[int, int], step: Tuple[int, int], count: int, q: int, d: int = 0
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Blocks (sign, z) of phases z = Re(start step^j) mod q, int64, such
+    that the signed blocks hold each j < count with j != 0 mod d exactly
+    once (every j when d = 0).
+
+    j = u L + v is a grid of a row table start step^(u L) = A_u + i B_u and
+    a column table step^v = c_v + i s_v, about sqrt(count) entries each, so
+    a phase is A_u c_v - B_u s_v, both products below q^2, reduced by _fmod.
+    When 0 < d <= sqrt(count), L is a multiple of d and the columns
+    v = 0 mod d are dropped; when d is larger, every j is summed and the
+    count/d phases with d | j come back with sign -1. The grid goes in
+    blocks of about BRUTE_BLOCK terms (at least one row), the last row cut
+    short.
+    """
+    L, v, (c, s), row_step, sub = _walk_tables(step, count, q, d)
+    full, rest = divmod(count, L)
+    A, B = _gauss_powers(start, row_step, full + 1, q)
     K = len(v)
-    rows = max(1, BRUTE_BLOCK // K)
+    rows = max(1, min(full, BRUTE_BLOCK // K))
     blocks = [(u, min(u + rows, full), K) for u in range(0, full, rows)]
     short = int(np.searchsorted(v, rest))  # the columns v < rest of row full
     if short:
@@ -359,38 +228,81 @@ def _circle_phases(w: Tuple[int, int], m: PrimePowerModulus) -> Iterator[Tuple[i
         np.multiply(B[u0:u1, None], s[:k], out=tb)
         xb -= tb
         yield 1, _fmod(xb, q, tb).reshape(-1).astype(np.int64)
-    if not drop:
-        yield -1, _gauss_powers(w, _gauss_pow(h, d, q), J // d, q)[0].astype(np.int64)
+    if sub is not None:
+        yield -1, _gauss_powers(start, sub, count // d, q)[0].astype(np.int64)
 
 
-def _circle_bruteforce(spec: ExpSumSpec) -> float:
-    """Re of the sum of e_q(f(t)) over the admissible t of one of each pair
-    {z(t), -z(t)}: f(t) = Re(w z(t)) with w = x3 (k1 - i k2). e_q(z) is the
-    product of two entries of the root tables; each block sums pairwise,
-    as np.sum does, through buffers allocated once per call."""
-    m = spec.modulus
-    q = m.q
-    w = (spec.x3 * spec.k1 % q, -spec.x3 * spec.k2 % q)
+def _circle_phases(w: Tuple[int, int], m: PrimePowerModulus) -> Iterator[Tuple[int, np.ndarray]]:
+    """Blocks (sign, z) of phases z = Re(w h^j) mod q, int64, h the generator
+    of C(q), such that the signed blocks hold each j in [0, M/2) with
+    j != 0 mod d exactly once, d = (p - eps)/4. Those h^j are the points
+    z(t) of the admissible parameters t, one of each pair {z, -z}:
+    t -> z(t) is one-to-one onto the z != -1 mod p, and t is admissible
+    exactly when z mod p is not in {1, -1, i, -i}, the subgroup of order 4
+    of the cyclic C(p), whose elements are the powers h^j with d | j.
+
+    The walk of _walk: d < p, so it drops the columns d | v except at
+    n = 1, where d may pass sqrt(M/2) and the 2 p^(n-1) phases with d | j
+    are subtracted. p = 3 and 5 have d = 1, so no admissible parameter and
+    no block.
+    """
+    order = _circle_order_mod_p(m.p)
+    if order == 4:
+        return iter(())
+    return _walk(w, _circle_generator(m.p, m.n), order * (m.q // m.p) // 2, m.q, order // 4)
+
+
+def _phase_sum(blocks: Iterator[Tuple[int, np.ndarray]], q: int) -> complex:
+    """The signed sum of e_q(z) over the blocks (sign, z) of a walk. e_q(z)
+    is the product of two entries of the root tables; each block sums
+    pairwise, as np.sum does, through buffers allocated once per call."""
     sh, hi, lo = _root_tables(q)
-    total, e = 0.0, np.empty(0, dtype=complex)
-    for sign, z in _circle_phases(w, m):
+    total, e = 0j, np.empty(0, dtype=complex)
+    for sign, z in blocks:
         size = len(z)
         if size > len(e):
             e, e_lo = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
         np.take(hi, z >> sh, out=e[:size], mode="clip")
         np.take(lo, z & (len(lo) - 1), out=e_lo[:size], mode="clip")
         e[:size] *= e_lo[:size]
-        total += sign * e[:size].sum().real
-    return total
+        total += sign * e[:size].sum()
+    return complex(total)
+
+
+def _circle_weight(f: RationalFunction, q: int) -> Tuple[int, int]:
+    """w = (a, -b/2) mod q for a circle phase f = (a (1 - t^2) + b t) /
+    (1 + t^2), the shape phase_function builds, so that f(t) = Re(w z(t))
+    mod q; raises ValueError for any other f."""
+    num, den = ([c % q for c in poly.coeffs] + [0, 0, 0] for poly in (f.num, f.den))
+    if any(num[3:] + den[3:]) or den[:3] != [1, 0, 1] or (num[0] + num[2]) % q:
+        raise ValueError(f"{f!r} is not a circle phase (a (1 - t^2) + b t) / (1 + t^2)")
+    return num[0], -num[1] * ((q + 1) // 2) % q
 
 
 def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> complex:
-    """Brute force: sum of e_q(f(x)) over x = alpha mod p, x in [1, q]."""
+    """Brute force: sum of e_q(f(t)) over t = alpha mod p, t in [1, q], for
+    a circle phase f = (a (1 - t^2) + b t) / (1 + t^2), the shape
+    phase_function builds; raises ValueError for any other phase.
+
+    f(t) = Re(w z(t)) with w = (a, -b/2) mod q and z(t) = (1 - t^2, 2t) /
+    (1 + t^2) on the circle group C(q). z(t) mod p depends only on t mod p,
+    and t -> z(t) is one-to-one, so the class maps onto the coset
+    z(alpha) K1 of the kernel K1 of reduction mod p, cyclic of order p^(n-1)
+    and generated by g = h^(p - eps) for the generator h of C(q). So the sum
+    is that of e_q(Re(w z(alpha) g^i)) over i < p^(n-1), the circle sum's
+    grid walk from w z(alpha) with step g and no dropped column. This holds
+    for every alpha with 1 + alpha^2 a unit, admissible or not.
+    """
     if m.q > BRUTE_MAX_Q:
         raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-    if f.den.eval_mod(alpha, m.p) == 0:
-        raise DenominatorNotUnit(f"denominator vanishes mod {m.p} at {alpha}")
-    return _class_sums(f, np.array([alpha % m.p]), m)
+    p, q = m.p, m.q
+    w = _circle_weight(f, q)
+    if f.den.eval_mod(alpha, p) == 0:
+        raise DenominatorNotUnit(f"denominator vanishes mod {p} at {alpha}")
+    inv = pow(1 + alpha * alpha, -1, q)
+    start = _gauss_mul(w, ((1 - alpha * alpha) * inv % q, 2 * alpha * inv % q), q)
+    g = _gauss_pow(_circle_generator(p, m.n), _circle_order_mod_p(p), q)
+    return _phase_sum(_walk(start, g, q // p, q), q)
 
 
 def _stripped(poly: Poly, p: int) -> Tuple[Poly, int]:
@@ -650,7 +562,8 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
     if mode == "bruteforce":
         if m.q > BRUTE_MAX_Q:
             raise TooLarge(f"q = {m.q} above the brute-force bound {BRUTE_MAX_Q}")
-        return complex(2.0 * _circle_bruteforce(spec))
+        w = (spec.x3 * spec.k1 % m.q, -spec.x3 * spec.k2 % m.q)
+        return complex(2.0 * _phase_sum(_circle_phases(w, m), m.q).real)
     if mode == "closed":
         if spec.r > m.n - 2:
             raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")

@@ -21,13 +21,12 @@ from pythmod.errors import (
     TooLarge,
     UnitRequired,
 )
-from pythmod.counting import DUAL_MAX_ENTRIES
+from pythmod.counting import DUAL_MAX_ENTRIES, _unit_levels
 from pythmod.expsums import (
     BRUTE_BLOCK,
     BRUTE_MAX_Q,
     ExpSumSpec,
     _fmod,
-    _inv_unit_vec,
     _root_tables,
     additive_character,
     canonical_sqrt,
@@ -51,6 +50,7 @@ from pythmod.padic import (
     Poly,
     PrimePowerModulus,
     RationalFunction,
+    _primitive_root,
     eval_rational_mod,
     inv_mod,
     is_prime,
@@ -113,17 +113,6 @@ def test_expsum_spec_derived_fields():
         ExpSumSpec(1, 1, 7, M7_3)
 
 
-def test_residue_class_sum_constant_phase():
-    f = RationalFunction(Poly([5]))
-    got = residue_class_sum(f, 2, M7_2)
-    assert got == pytest.approx(7 * additive_character(5, 49), abs=1e-9)
-
-
-def test_residue_class_sum_linear_vanishes():
-    f = RationalFunction(Poly([0, 1]))  # f(t) = t
-    assert abs(residue_class_sum(f, 0, M7_2)) <= 1e-12
-
-
 def test_residue_class_sum_matches_naive_loop():
     # validates the vectorized kernel against a dumb per-term loop
     rng = random.Random(606)
@@ -158,35 +147,92 @@ def test_residue_class_sum_split_into_blocks_matches_scalar_loop():
     assert abs(got - class_sum_by_scalar_loop(f, 2, m)) <= 1e-10 * math.sqrt(m.q)
 
 
-def test_residue_class_sum_general_phases_match_scalar_loop():
-    # numerators and denominators of degree up to 5 with large and negative
-    # coefficients, where Horner must reduce at every step
-    rng = random.Random(1010)
-    for p, n in [(7, 1), (7, 2), (7, 3), (11, 4), (7, 6), (13, 2)]:
-        m = PrimePowerModulus(p, n)
-        for _ in range(3):
-            num = Poly([rng.randrange(-10**12, 10**12) for _ in range(rng.randint(1, 6))])
-            den = Poly([rng.randrange(-10**12, 10**12) for _ in range(rng.randint(1, 6))])
-            f = RationalFunction(num, den)
-            alphas = [a for a in range(p) if f.den.eval_mod(a, p)]
-            if not alphas:
-                continue
-            alpha = rng.choice(alphas)
-            got = residue_class_sum(f, alpha, m)
-            assert abs(got - class_sum_by_scalar_loop(f, alpha, m)) <= 1e-10 * math.sqrt(m.q), (p, n)
-
-
-def test_residue_class_sum_of_one_term_builds_no_table(monkeypatch):
-    # at n = 1 a class is one term: the inverse comes from pow, not from a
-    # table of all p inverses
-    calls = []
-    monkeypatch.setattr(expsums, "_inv_mod_p", lambda p: calls.append(p))
+def test_residue_class_sum_of_one_term_builds_no_table():
+    # at n = 1 a class is one term: the walk holds a one-entry grid and the
+    # root tables of about sqrt(q) entries, no table of all p residues
     m = PrimePowerModulus(9999991, 1)
     f = phase_function(3, 4, 1)
-    got = residue_class_sum(f, 5, m)
-    assert calls == []
+    tracemalloc.start()
+    try:
+        got = residue_class_sum(f, 5, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     z = f.num.eval_mod(5, m.q) * pow(f.den.eval_mod(5, m.q), -1, m.q) % m.q
     assert abs(got - cmath.exp(2j * math.pi * z / m.q)) <= 1e-12
+
+
+CLASS_SUM_MODULI = [
+    (p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 5) if p**n <= 2 * 10**4
+] + [(3137, 1)]
+
+
+@pytest.mark.parametrize("p,n", CLASS_SUM_MODULI)
+def test_residue_class_sum_every_unit_class_matches_scalar_loop(p, n):
+    # the coset walk covers every class with 1 + alpha^2 a unit, admissible
+    # or not (alpha = 0 and +-1 included), at p = 3 and 5 too, where the
+    # circle sum has no admissible class; k1 = 0 and k2 = 0 leave trailing
+    # zero coefficients off the numerator
+    m = PrimePowerModulus(p, n)
+    rng = random.Random(f"class:{p}:{n}")
+    phases = [
+        phase_function(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)),
+        phase_function(0, rng.randrange(1, 10**6), 1),
+        phase_function(rng.randrange(1, 10**6), 0, 2),
+    ]
+    if p == 3137:
+        phases = phases[:1]
+    for f in phases:
+        for alpha in range(-1, p - 1):
+            if (1 + alpha * alpha) % p:
+                got = residue_class_sum(f, alpha, m)
+                assert abs(got - class_sum_by_scalar_loop(f, alpha, m)) <= 1e-10 * math.sqrt(m.q), alpha
+
+
+@pytest.mark.parametrize("p,n", [(7, n) for n in range(1, 5)] + [(13, n) for n in range(1, 4)])
+def test_class_sums_add_up_to_circle_sum(p, n):
+    m = PrimePowerModulus(p, n)
+    rng = random.Random(f"total:{p}:{n}")
+    spec = ExpSumSpec(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6), 3, m)
+    f = spec.phase()
+    total = sum(residue_class_sum(f, alpha, m) for alpha in admissible_classes(p).tolist())
+    assert abs(total - circle_exponential_sum(spec, "bruteforce")) <= 1e-10 * math.sqrt(m.q)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        RationalFunction(Poly([5])),  # constant: denominator 1
+        RationalFunction(Poly([0, 1])),  # f(t) = t
+        RationalFunction(Poly([1, 2, -1, 1]), Poly([1, 0, 1])),  # cubic numerator
+        RationalFunction(Poly([1, 2, 1]), Poly([1, 0, 1])),  # t^2 coefficient is not -a
+        RationalFunction(Poly([1, 0, -1]), Poly([1, 0, 2])),  # denominator 1 + 2t^2
+        RationalFunction(Poly([1, 0, -1]), Poly([1, 0, 1, 0, 1])),
+    ],
+)
+def test_residue_class_sum_refuses_other_phases(f):
+    with pytest.raises(ValueError, match="not a circle phase"):
+        residue_class_sum(f, 2, M7_2)
+
+
+def test_walk_tables_are_cached_read_only():
+    # the step and the column table are built once per walk and shared by
+    # every later call, so no caller may write to them
+    m = PrimePowerModulus(7, 4)
+    f = phase_function(3, 4, 1)
+    residue_class_sum(f, 2, m)
+    circle_exponential_sum(ExpSumSpec(3, 4, 1, m), "bruteforce")
+    h = expsums._circle_generator(7, 4)
+    g = expsums._gauss_pow(h, 8, m.q)
+    for args in [(g, 343, m.q, 0), (h, 1372, m.q, 2)]:
+        hits = expsums._walk_tables.cache_info().hits
+        L, v, cs, _, _ = expsums._walk_tables(*args)
+        assert expsums._walk_tables.cache_info().hits == hits + 1
+        for a in (v, cs):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[..., 0] = 1
 
 
 def test_residue_class_sum_gates():
@@ -477,19 +523,31 @@ def test_circle_exponential_sum_gates():
 
 
 def test_inv_unit_vec_matches_pow():
-    # odd and even n, and n = 1, where the table mod p^ceil(n/2) is all of q
+    # the dual side's units u of each level come as powers g^i of one
+    # primitive root, with c = (4u)^-1 read off the same table backwards and
+    # chi = (u/p) = (-1)^i: checked in full where the table is built, at odd
+    # and even n and at n = 1, and through the root alone past the dual gate
     cases = [(7, n) for n in range(1, 7)] + [(5, n) for n in range(1, 7)]
     for p, n in cases + [(11, 2), (13, 2), (10007, 1)]:
         m = PrimePowerModulus(p, n)
-        units = [u for u in range(1, m.q) if u % p]
-        got = _inv_unit_vec(np.array(units, dtype=np.int64), m)
-        assert got.tolist() == [pow(u, -1, m.q) for u in units], (p, n)
+        squares = np.zeros(p, dtype=bool)
+        squares[np.arange(p) ** 2 % p] = True
+        for j, (u, c, chi) in enumerate(_unit_levels(m)):
+            qj = p ** (n - j)
+            assert np.array_equal(np.sort(u), [x for x in range(1, qj) if x % p]), (p, n, j)
+            assert np.all(4 * u * c % qj == 1) and np.all((0 <= c) & (c < qj))
+            assert np.array_equal(chi, np.where(squares[u % p], 1, -1)), (p, n, j)
     rng = random.Random(616)
     for p, n in [(7, 7), (7, 8), (7, 9), (31, 6), (3137, 2)]:
-        m = PrimePowerModulus(p, n)
-        units = [u for u in (rng.randrange(1, m.q) for _ in range(10**4)) if u % p]
-        got = _inv_unit_vec(np.array(units, dtype=np.int64), m)
-        assert got.tolist() == [pow(u, -1, m.q) for u in units], (p, n)
+        q = p**n
+        phi = q // p * (p - 1)
+        g = _primitive_root(p, n)
+        primes = {l for l in range(2, p + 1) if phi % l == 0 and is_prime(l)}
+        assert all(pow(g, phi // l, q) != 1 for l in primes), (p, n)
+        for i in (rng.randrange(phi) for _ in range(10**4)):
+            u, c = pow(g, i, q), pow(4, -1, q) * pow(g, (phi - i) % phi, q) % q
+            assert u % p and 4 * u * c % q == 1
+            assert jacobi_symbol(u, p) == (-1) ** i
 
 
 @pytest.mark.parametrize("q", [7**4, 7**8, 9999991])
@@ -622,7 +680,7 @@ def test_class_sums_of_partner_classes_are_conjugate(p, n):
     f = phase_function(k1, k2, x3)
     for alpha in admissible_classes(p).tolist():
         partner = -pow(alpha, -1, p) % p
-        s, t = (expsums._class_sums(f, np.array([a]), m) for a in (alpha, partner))
+        s, t = (residue_class_sum(f, a, m) for a in (alpha, partner))
         assert abs(s - t.conjugate()) <= 1e-12 * math.sqrt(m.q), alpha
     assert circle_exponential_sum(ExpSumSpec(k1, k2, x3, m), "bruteforce").imag == 0.0
 
