@@ -26,7 +26,6 @@ from .counting import (
     predict_dual_terms,
     predict_main_term,
     transition_check,
-    unit_gauss_sums,
 )
 from .expsums import (
     ExpSumSpec,

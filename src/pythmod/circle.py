@@ -71,20 +71,6 @@ def is_admissible_param(t: int, m: PrimePowerModulus) -> bool:
     return (t * (1 - t * t) * (1 + t * t)) % m.p != 0
 
 
-def admissible_classes(p: int) -> np.ndarray:
-    """The admissible parameter classes mod p, ascending, as int32 (p < 2^31):
-    t(1-t^2)(1+t^2) is a unit exactly when t^2 is not 0 or +-1 mod p, that
-    is when 1 + t^2 mod p is not 1, 2 or 0. One comparison makes the one
-    boolean temporary of p entries."""
-    sq = np.arange(p, dtype=np.int64)
-    sq *= sq
-    sq += 1
-    sq %= p
-    mask = sq > 2
-    del sq  # p int64 entries: not held beside the result
-    return np.arange(p, dtype=np.int32)[mask]
-
-
 def param_point(t: int, m: PrimePowerModulus) -> CircleParamPoint:
     """Map an admissible parameter to its circle point mod p^n."""
     tv = t % m.q
@@ -110,11 +96,14 @@ def inverse_param(y1: int, y2: int, m: PrimePowerModulus) -> int:
 def enumerate_admissible_t(m: PrimePowerModulus) -> List[int]:
     """All admissible parameters in [0, q), ascending; TooLarge above ENUM_MAX_Q.
 
-    The count is p^(n-1) * (p - excluded_param_count(p)).
+    t(1-t^2)(1+t^2) is a unit exactly when t^2 is not 0 or +-1 mod p, that
+    is when 1 + t^2 mod p is not 1, 2 or 0.  The count is
+    p^(n-1) * (p - excluded_param_count(p)).
     """
     if m.q > ENUM_MAX_Q:
         raise TooLarge(f"q = {m.q} above the exhaustive bound {ENUM_MAX_Q}")
-    return (np.arange(0, m.q, m.p)[:, None] + admissible_classes(m.p)).ravel().tolist()
+    t = np.arange(m.q)
+    return t[(t * t + 1) % m.p > 2].tolist()
 
 
 def enumerate_circle_solutions(m: PrimePowerModulus) -> List[Tuple[int, int]]:

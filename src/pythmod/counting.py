@@ -16,7 +16,8 @@ inversion over odd squarefree d for the coprimality, and int64 row sums,
 O(N^(2/3) log N); the walk is its oracle.  predict_dual_terms evaluates the
 smoothed count a third way, as an exact Poisson expansion over closed-form
 Gauss sums with one DFT per p-adic level, and splits it into the main term
-and the dual terms.
+and the dual terms.  Each level is indexed by c = (4u)^-1, which runs over
+the units in ascending order, so it needs no inverse and no table of units.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from .circle import excluded_param_count
 from .errors import RangeViolation, SmallPrime, TooLarge
 from .expsums import gauss_sum_closed
-from .padic import PrimePowerModulus, _primitive_root, is_prime
+from .padic import PrimePowerModulus, is_prime
 from .weights import WeightSpec, _box_radius
 
 TRIPLE_LOOP_MAX_CELLS = 10**9
@@ -40,7 +41,7 @@ PAIR_BLOCK = 2**16  # class pairs per block of _square_triples
 WALK_BLOCK = 2**15  # Euclid pairs per block of count_equation_box
 SPLIT_MIN = 2**12  # the least split u of count_pythagorean; one table is cheaper below it
 DUAL_MAX_L = 10**4
-DUAL_MAX_ENTRIES = 10**7  # q + K + 1 array entries on the dual side, ~85 bytes each
+DUAL_MAX_ENTRIES = 10**7  # q + K + 1 entries on the dual side; traced peak 52-66 B per entry of q
 DUAL_TOL = 1e-16  # dual frequencies with fourier(k N / q) below this are dropped
 CUTOFF = 3.5  # the box is |x| <= CUTOFF*s*N; the weight there is exp(-pi*3.5^2) < 2e-17
 
@@ -108,16 +109,6 @@ class DualTerms(NamedTuple):
     T1: float  # every other dual frequency
 
 
-def _dual_gate(q: int, K: int) -> None:
-    """Raises TooLarge, before any allocation, when the dual side's arrays
-    of lengths q and K + 1 exceed DUAL_MAX_ENTRIES entries in all."""
-    if q + K + 1 > DUAL_MAX_ENTRIES:
-        raise TooLarge(
-            f"dual expansion needs q + K + 1 = {q + K + 1} array entries "
-            f"(q = {q}, K = {K}), above {DUAL_MAX_ENTRIES}"
-        )
-
-
 def _complete_sums(p: int, mm: int, j: int, c: np.ndarray, chi: np.ndarray, coef: np.ndarray):
     """Sum over k >= 0 of coef[k] times the sum of e((p^j u x^2 + k x) / p^mm)
     over all x mod p^mm, for each unit u of a level, given c = (4u)^-1 and
@@ -134,66 +125,28 @@ def _complete_sums(p: int, mm: int, j: int, c: np.ndarray, chi: np.ndarray, coef
     return p**j * gauss_sum_closed(q2) * symbol * np.fft.fft(buckets)[c % q2]
 
 
-def _unit_levels(m: PrimePowerModulus) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(u, c, chi) for each level j = 0..n-1: the units u mod p^(n-j) and
-    c = (4u)^-1 mod p^(n-j) as int64, and chi = (u/p) as int8.
+def _dual_levels(m: PrimePowerModulus, coef: np.ndarray) -> Iterator[np.ndarray]:
+    """s(a) = sum over k >= 0 of coef[k] * g(a, k), level by level in the
+    p-adic order j of a = p^j u: s(0) first, as one entry, then for each
+    j = 0..n-1 the values at a = p^j (4c)^-1 for the units c of
+    [1, p^(n-j)), ascending.  The order of a within a level is free: the
+    dual side only sums over a.
 
-    The units mod p^(n-j) are the g^i, i < phi(p^(n-j)), of one primitive
-    root g mod q, so c = 4^-1 g^(-i) is the same table read backwards and
-    chi = (-1)^i. The table of g^i mod q doubles: the first k entries times
-    g^k give the next k, each product below q^2 < 2^62.
-    """
-    p, q = m.p, m.q
-    powers = np.empty(q // p * (p - 1), dtype=np.int64)
-    powers[0], k, gk = 1, 1, _primitive_root(p, m.n)
-    while k < len(powers):
-        j = min(k, len(powers) - k)
-        np.multiply(powers[:j], gk, out=powers[k : k + j])
-        powers[k : k + j] %= q
-        gk = gk * gk % q
-        k += j
-    inv4 = pow(4, -1, q)
-    for j in range(m.n):
-        qj, h = p ** (m.n - j), len(powers) // p**j  # h = phi(p^(n-j)), even
-        c = np.roll(powers[h - 1 :: -1], 1) * inv4 % qj
-        yield powers[:h] % qj, c, np.tile(np.array([1, -1], dtype=np.int8), h // 2)
-
-
-def _dual_sums(m: PrimePowerModulus, coef: np.ndarray) -> np.ndarray:
-    """s(a) = sum over k >= 0 of coef[k] * g(a, k), for a = 0..q-1.
-
-    Level by level in the p-adic order j of a = p^j u: the complete sum
-    over all x mod q minus the sum over the non-units x = p y, y mod
-    p^(n-1).  At a = 0 both are scalars and g(0, k) is the Ramanujan sum.
-    The units u of each level, with (4u)^-1 and (u/p), come from the
-    powers of one primitive root (_unit_levels).
+    Each value is the complete sum over all x mod q minus the sum over the
+    non-units x = p y, y mod p^(n-1).  At a = 0 both are scalars and
+    g(0, k) is the Ramanujan sum.  s(p^j u) depends on u only through
+    c = (4u)^-1 and (u/p) = (c/p), 4 being a square: no inverse is taken.
     """
     p, n = m.p, m.n
-    s = np.empty(m.q, dtype=complex)
-    s[0] = _complete_sums(p, n, n, None, None, coef) - _complete_sums(
-        p, n - 1, n + 1, None, None, coef
-    )
-    for j, (u, c, chi) in enumerate(_unit_levels(m)):
-        s[p**j * u] = _complete_sums(p, n, j, c, chi, coef) - _complete_sums(
-            p, n - 1, j + 1, c, chi, coef
-        )
-    return s
-
-
-def unit_gauss_sums(m: PrimePowerModulus, k: int) -> np.ndarray:
-    """g(a, k) = sum over unit x mod q of e_q(a x^2 + k x), for a = 0..q-1.
-
-    Closed form, level by level in the p-adic order j of a: complete the
-    square in the sum over all x mod q, then subtract the sum over the
-    non-units. g(0, k) is the Ramanujan sum c_q(k). g depends on k only
-    through |k| mod q, since g(a, -k) = g(a, k). Raises TooLarge when
-    q + (|k| mod q) + 1 exceeds DUAL_MAX_ENTRIES.
-    """
-    k = abs(k) % m.q
-    _dual_gate(m.q, k)
-    coef = np.zeros(k + 1)
-    coef[k] = 1.0
-    return _dual_sums(m, coef)
+    s0 = _complete_sums(p, n, n, None, None, coef)
+    yield np.array([s0 - _complete_sums(p, n - 1, n + 1, None, None, coef)])
+    symbol = np.full(p, -1, dtype=np.int8)
+    symbol[np.arange(p) ** 2 % p] = 1  # (r/p) at the units r
+    for j in range(n):
+        qj = p ** (n - j)
+        c = (np.arange(0, qj, p)[:, None] + np.arange(1, p)).ravel()
+        chi = np.tile(symbol[1:], qj // p)
+        yield _complete_sums(p, n, j, c, chi, coef) - _complete_sums(p, n - 1, j + 1, c, chi, coef)
 
 
 def _cube_sum(s: np.ndarray) -> float:
@@ -212,21 +165,27 @@ def predict_dual_terms(cfg: CountConfig) -> DualTerms:
         T = (N/q)^3 * (1/q) * sum over a mod q of s(a)^2 s(-a),
         s(a) = sum over k in Z of fourier(k N / q) * g(a, k),
 
-    with g as in unit_gauss_sums. The term k1 = k2 = k3 = 0 is the main
-    term of predict_main_term; T1 = T - T0 holds the rest. The box
-    cutoff is not modelled: the weight is summed over all of Z. The
-    frequencies stop at |k| <= K = ceil(R q / N), with R the radius
-    beyond which fourier drops below DUAL_TOL. Each level costs one DFT
-    and one pass over the frequencies: O(q log q + K) in all. Raises
-    TooLarge when q + K + 1 exceeds DUAL_MAX_ENTRIES.
+    with g(a, k) = sum over unit x mod q of e_q(a x^2 + k x), the unit
+    Gauss sum. The term k1 = k2 = k3 = 0 is the main term of
+    predict_main_term; T1 = T - T0 holds the rest. The box cutoff is not
+    modelled: the weight is summed over all of Z. The frequencies stop at
+    |k| <= K = ceil(R q / N), with R the radius beyond which fourier
+    drops below DUAL_TOL. The cube sum is taken one p-adic level of a at
+    a time (_dual_levels); each level costs one DFT and one pass over
+    the frequencies: O(q log q + K) in all. Raises TooLarge, before any
+    allocation, when q + K + 1 exceeds DUAL_MAX_ENTRIES.
     """
     m, N, w = cfg.modulus, cfg.N, cfg.weight
     q = m.q
     K = math.ceil(w.fourier_truncation_radius(DUAL_TOL) * q / N)
-    _dual_gate(q, K)
+    if q + K + 1 > DUAL_MAX_ENTRIES:
+        raise TooLarge(
+            f"dual expansion needs q + K + 1 = {q + K + 1} array entries "
+            f"(q = {q}, K = {K}), above {DUAL_MAX_ENTRIES}"
+        )
     coef = w.fourier(np.arange(K + 1) * N / q)
     coef[1:] *= 2  # g(a, -k) = g(a, k) and the weight is even
-    T = (N / q) ** 3 / q * _cube_sum(_dual_sums(m, coef))
+    T = (N / q) ** 3 / q * sum(_cube_sum(s) for s in _dual_levels(m, coef))
     T0 = predict_main_term(cfg)
     return DualTerms(T0, T - T0)
 

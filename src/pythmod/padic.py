@@ -56,16 +56,6 @@ def _prime_divisors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def _primitive_root(p: int, n: int) -> int:
-    """The least g generating the units mod p^n: g has order p - 1 mod p,
-    by the primes of p - 1, and for n >= 2 g^(p-1) != 1 mod p^2, so that
-    g^(p-1) generates the kernel of reduction mod p, of order p^(n-1)."""
-    primes, g = _prime_divisors(p - 1), 2
-    while any(pow(g, (p - 1) // l, p) == 1 for l in primes) or (n > 1 and pow(g, p - 1, p * p) == 1):
-        g += 1
-    return g
-
-
 @dataclass(frozen=True)
 class PrimePowerModulus:
     """The ambient modulus q = p^n for an odd prime p."""

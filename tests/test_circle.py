@@ -1,13 +1,11 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from pythmod.circle import (
     CircleParamPoint,
     SolutionTriple,
-    admissible_classes,
     enumerate_admissible_t,
     enumerate_circle_solutions,
     excluded_param_count,
@@ -98,15 +96,15 @@ def test_admissible_count_formula(p, n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 9973])
 def test_admissible_classes_match_scalar_rule(p):
-    # the vector rule t^2 not in {0, +-1} mod p against t(1-t^2)(1+t^2) a unit
+    # the admissible classes mod p are enumerate_admissible_t at n = 1: its
+    # vector rule t^2 not in {0, +-1} mod p against t(1-t^2)(1+t^2) a unit
     m = PrimePowerModulus(p, 1)
-    classes = admissible_classes(p)
-    assert classes.dtype == np.int32
-    assert classes.tolist() == [t for t in range(p) if is_admissible_param(t, m)]
+    classes = enumerate_admissible_t(m)
+    assert classes == [t for t in range(p) if is_admissible_param(t, m)]
     if p <= 5:
-        assert classes.size == 0
+        assert len(classes) == 0
     else:
-        assert classes.size == p - excluded_param_count(p)
+        assert len(classes) == p - excluded_param_count(p)
 
 
 @pytest.mark.parametrize("p,n", [(7, 3), (13, 2)])

@@ -17,7 +17,7 @@ from pythmod.counting import (
     SPLIT_MIN,
     CountConfig,
     _cube_sum,
-    _dual_sums,
+    _dual_levels,
     _hyperbola_split,
     _smoothed_triple_loop,
     count_box_exact,
@@ -28,7 +28,6 @@ from pythmod.counting import (
     predict_dual_terms,
     predict_main_term,
     transition_check,
-    unit_gauss_sums,
 )
 from pythmod.errors import RangeViolation, SmallPrime, TooLarge
 from pythmod.padic import PrimePowerModulus
@@ -63,15 +62,35 @@ def test_predict_main_term_examples():
     assert got13 == pytest.approx(8 * 12 / 169 * 1e9 / 28561, rel=1e-12)
 
 
+def level_points(p, n):
+    """The points a of each level of _dual_levels, in its order: 0, then
+    p^j * ((4c)^-1 mod p^(n-j)) for the ascending units c of [1, p^(n-j))."""
+    yield np.array([0])
+    for j in range(n):
+        qj = p ** (n - j)
+        yield np.array([p**j * pow(4 * c, -1, qj) for c in range(1, qj) if c % p])
+
+
+def unit_gauss_levels(m, k):
+    # g(a, k) level by level, from coefficients that pick the one frequency |k| mod q
+    k = abs(k) % m.q
+    coef = np.zeros(k + 1)
+    coef[k] = 1.0
+    return list(_dual_levels(m, coef))
+
+
 @pytest.mark.parametrize("p,n", [(7, 2), (7, 3), (13, 2)])
 def test_unit_gauss_sums_match_brute(p, n):
     q = p**n
     xs = np.array([x for x in range(q) if x % p], dtype=np.int64)
-    a = np.arange(q, dtype=np.int64)[:, None]
+    points = list(level_points(p, n))
+    assert np.array_equal(np.sort(np.concatenate(points)), np.arange(q))  # each a once
     for k in (0, 1, 2, 3, -1, -4, p, -p, 2 * p + 1, p * p, 3 * p * p, q, q + 2):
-        brute = np.exp(2j * math.pi * ((a * xs * xs + k * xs) % q) / q).sum(axis=1)
-        closed = unit_gauss_sums(PrimePowerModulus(p, n), k)
-        assert np.max(np.abs(closed - brute)) <= 1e-9 * q, (p, n, k)
+        levels = unit_gauss_levels(PrimePowerModulus(p, n), k)
+        for a, closed in zip(points, levels, strict=True):
+            a = a[:, None]
+            brute = np.exp(2j * math.pi * ((a * xs * xs + k * xs) % q) / q).sum(axis=1)
+            assert np.max(np.abs(closed - brute)) <= 1e-9 * q, (p, n, k)
 
 
 @pytest.mark.parametrize("p,n,N", [(7, 3, 60), (7, 4, 233), (11, 3, 200), (13, 2, 40)])
@@ -79,8 +98,11 @@ def test_dual_zero_frequency_is_main_term(p, n, N):
     # the k = 0 term of the Poisson expansion, from the closed Gauss sums
     c = cfg(p, n, N)
     m, q = c.modulus, c.modulus.q
-    g = unit_gauss_sums(m, 0)
-    minus = g[(-np.arange(q)) % q]
+    levels = unit_gauss_levels(m, 0)  # coef = [1.0]
+    g = np.concatenate(levels)
+    # -c is the mirror of c among a level's ascending units: a level
+    # reversed holds the values at -a
+    minus = np.concatenate([s[::-1] for s in levels])
     k0 = (N * c.weight.fourier(0.0) / q) ** 3 / q * np.sum(g * g * minus).real
     assert k0 == pytest.approx(predict_main_term(c), rel=1e-12)
 
@@ -119,12 +141,25 @@ def test_dual_terms_gate():
         # q = 7^8 alone fits; K = ceil(3.425 * 7^8 / 1) = 19741367 does not
         with pytest.raises(TooLarge, match=r"q \+ K \+ 1 = 25506169 .*K = 19741367"):
             predict_dual_terms(cfg(7, 8, 1))
-        with pytest.raises(TooLarge, match=r"q \+ K \+ 1 = 40353609 "):
-            unit_gauss_sums(PrimePowerModulus(7, 9), 1)
+        with pytest.raises(TooLarge, match=r"q \+ K \+ 1 = 40353609 .*q = 40353607, K = 1\)"):
+            predict_dual_terms(cfg(7, 9, 10**9))  # K = ceil(3.425 * 7^9 / 10^9) = 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_dual_terms_memory_bound():
+    # one level at a time, indexed by c = (4u)^-1: no q-length array of s(a)
+    # and no table of units.  The traced peak is about 52 bytes per entry of q
+    c = cfg(7, 6, 3545)
+    tracemalloc.start()
+    try:
+        predict_dual_terms(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 72 * c.modulus.q
 
 
 def test_predict_main_term_scaling_laws():
@@ -224,7 +259,7 @@ def test_count_smoothed_takes_one_forward_fft(monkeypatch):
 def test_smoothed_sums_take_no_blas_dot(monkeypatch):
     # a float np.dot of more than 10^4 entries wakes OpenBLAS's threads, and
     # where they sleep that costs a scheduler quantum (8 ms) a call; the
-    # bucket kernel's sum here has 14281 entries, the cube sum 16807
+    # bucket kernel's sum here has 14281 entries, the cube sum's first level 14406
     def refuse(*args, **kwargs):
         raise AssertionError("np.dot called")
 
@@ -236,16 +271,19 @@ def test_smoothed_sums_take_no_blas_dot(monkeypatch):
 @pytest.mark.parametrize("p,n,N", [(7, 4, 60), (7, 5, 343), (7, 6, 3545), (11, 3, 40), (13, 4, 300)])
 def test_dual_sums_conjugate_symmetric(p, n, N):
     # s(-a) = conj s(a), which lets _cube_sum read the cube sum as the sum of
-    # |s(a)|^2 Re s(a); coefficients built as in predict_dual_terms
-    m, q = PrimePowerModulus(p, n), p**n
-    K = math.ceil(W1.fourier_truncation_radius(DUAL_TOL) * q / N)
-    coef = W1.fourier(np.arange(K + 1) * N / q)
+    # |s(a)|^2 Re s(a); coefficients built as in predict_dual_terms.  -c is
+    # the mirror of c among a level's ascending units, so each level
+    # reversed holds s(-a)
+    m = PrimePowerModulus(p, n)
+    K = math.ceil(W1.fourier_truncation_radius(DUAL_TOL) * m.q / N)
+    coef = W1.fourier(np.arange(K + 1) * N / m.q)
     coef[1:] *= 2
-    s = _dual_sums(m, coef)
-    minus = s[(-np.arange(q)) % q]
-    assert np.max(np.abs(minus - np.conj(s))) <= 1e-13 * np.max(np.abs(s))
-    direct = np.sum(s * s * minus).real
-    assert _cube_sum(s) == pytest.approx(direct, rel=1e-12)
+    levels = list(_dual_levels(m, coef))
+    peak = max(np.max(np.abs(s)) for s in levels)
+    for s in levels:
+        assert np.max(np.abs(s[::-1] - np.conj(s))) <= 1e-13 * peak
+    direct = sum(np.sum(s * s * s[::-1]).real for s in levels)
+    assert sum(_cube_sum(s) for s in levels) == pytest.approx(direct, rel=1e-12)
 
 
 def test_triple_loop_gate():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pythmod.circle import (
-    admissible_classes,
     enumerate_admissible_t,
     inverse_param,
 )
@@ -21,7 +20,6 @@ from pythmod.errors import (
     TooLarge,
     UnitRequired,
 )
-from pythmod.counting import DUAL_MAX_ENTRIES, _unit_levels
 from pythmod.expsums import (
     BRUTE_BLOCK,
     BRUTE_MAX_Q,
@@ -50,7 +48,6 @@ from pythmod.padic import (
     Poly,
     PrimePowerModulus,
     RationalFunction,
-    _primitive_root,
     eval_rational_mod,
     inv_mod,
     is_prime,
@@ -196,7 +193,8 @@ def test_class_sums_add_up_to_circle_sum(p, n):
     rng = random.Random(f"total:{p}:{n}")
     spec = ExpSumSpec(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6), 3, m)
     f = spec.phase()
-    total = sum(residue_class_sum(f, alpha, m) for alpha in admissible_classes(p).tolist())
+    classes = enumerate_admissible_t(PrimePowerModulus(p, 1))
+    total = sum(residue_class_sum(f, alpha, m) for alpha in classes)
     assert abs(total - circle_exponential_sum(spec, "bruteforce")) <= 1e-10 * math.sqrt(m.q)
 
 
@@ -522,34 +520,6 @@ def test_circle_exponential_sum_gates():
         circle_exponential_sum(ExpSumSpec(3, 4, 1, PrimePowerModulus(11, 7)), "bruteforce")
 
 
-def test_inv_unit_vec_matches_pow():
-    # the dual side's units u of each level come as powers g^i of one
-    # primitive root, with c = (4u)^-1 read off the same table backwards and
-    # chi = (u/p) = (-1)^i: checked in full where the table is built, at odd
-    # and even n and at n = 1, and through the root alone past the dual gate
-    cases = [(7, n) for n in range(1, 7)] + [(5, n) for n in range(1, 7)]
-    for p, n in cases + [(11, 2), (13, 2), (10007, 1)]:
-        m = PrimePowerModulus(p, n)
-        squares = np.zeros(p, dtype=bool)
-        squares[np.arange(p) ** 2 % p] = True
-        for j, (u, c, chi) in enumerate(_unit_levels(m)):
-            qj = p ** (n - j)
-            assert np.array_equal(np.sort(u), [x for x in range(1, qj) if x % p]), (p, n, j)
-            assert np.all(4 * u * c % qj == 1) and np.all((0 <= c) & (c < qj))
-            assert np.array_equal(chi, np.where(squares[u % p], 1, -1)), (p, n, j)
-    rng = random.Random(616)
-    for p, n in [(7, 7), (7, 8), (7, 9), (31, 6), (3137, 2)]:
-        q = p**n
-        phi = q // p * (p - 1)
-        g = _primitive_root(p, n)
-        primes = {l for l in range(2, p + 1) if phi % l == 0 and is_prime(l)}
-        assert all(pow(g, phi // l, q) != 1 for l in primes), (p, n)
-        for i in (rng.randrange(phi) for _ in range(10**4)):
-            u, c = pow(g, i, q), pow(4, -1, q) * pow(g, (phi - i) % phi, q) % q
-            assert u % p and 4 * u * c % q == 1
-            assert jacobi_symbol(u, p) == (-1) ** i
-
-
 @pytest.mark.parametrize("q", [7**4, 7**8, 9999991])
 def test_root_tables_match_exp(q):
     s, hi, lo = _root_tables(q)
@@ -678,7 +648,7 @@ def test_class_sums_of_partner_classes_are_conjugate(p, n):
     k1, k2 = rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)
     x3 = rng.choice([x for x in range(1, 3 * p) if x % p])
     f = phase_function(k1, k2, x3)
-    for alpha in admissible_classes(p).tolist():
+    for alpha in enumerate_admissible_t(PrimePowerModulus(p, 1)):
         partner = -pow(alpha, -1, p) % p
         s, t = (residue_class_sum(f, a, m) for a in (alpha, partner))
         assert abs(s - t.conjugate()) <= 1e-12 * math.sqrt(m.q), alpha
@@ -879,6 +849,5 @@ def test_fmod_matches_python_mod(case):
 
 def test_fmod_exactness_bound_covers_every_modulus():
     # _fmod is exact for |a| <= q^2 + q while q(q + 2) < 2^51; the brute
-    # force and the dual side's inverses reduce mod q <= BRUTE_MAX_Q
+    # force reduces mod q <= BRUTE_MAX_Q
     assert BRUTE_MAX_Q * (BRUTE_MAX_Q + 2) < 2**51
-    assert DUAL_MAX_ENTRIES <= BRUTE_MAX_Q
