@@ -44,7 +44,7 @@ from .padic import (
 from .weights import _box_radius
 
 BRUTE_MAX_Q = 10**7
-BRUTE_BLOCK = 2**14  # terms per block of the brute-force grids
+BRUTE_BLOCK = 2**14  # most terms per block of the brute-force walks
 GAUSS_MAX_Q = 10**6
 
 TWO_PI = 2.0 * math.pi
@@ -180,20 +180,21 @@ def _gauss_powers(start: Tuple[int, int], g: Tuple[int, int], count: int, q: int
 
 @functools.lru_cache(maxsize=64)
 def _walk_tables(step: Tuple[int, int], count: int, q: int, d: int):
-    """The tables of _walk's grid, cached per walk, read-only:
-    (L, v, cs, step^L, sub), with v the columns kept, cs the column table
-    step^v (real parts in row 0, imaginary parts in row 1) and sub = step^d
-    when the powers with d | j are subtracted, else None."""
-    L = math.isqrt(count)
-    drop = 0 < d <= L
+    """The tables of _walk's blocks, cached per walk, read-only:
+    (W, v, cs, step^W, sub), with W = min(count, BRUTE_BLOCK) lowered to a
+    multiple of d when 0 < d <= W, v the columns v < W kept, cs the column
+    table step^v (real parts in row 0, imaginary parts in row 1) and
+    sub = step^d when the powers with d | j are subtracted, else None."""
+    W = min(count, BRUTE_BLOCK)
+    drop = 0 < d <= W
     if drop:
-        L -= L % d
-    v = np.arange(L)
+        W -= W % d
+    v = np.arange(W)
     if drop:
         v = v[v % d != 0]
-    cs = _gauss_powers((1, 0), step, L, q)[:, v]
+    cs = _gauss_powers((1, 0), step, W, q)[:, v]
     v.flags.writeable = cs.flags.writeable = False
-    return L, v, cs, _gauss_pow(step, L, q), _gauss_pow(step, d, q) if d and not drop else None
+    return W, v, cs, _gauss_pow(step, W, q), _gauss_pow(step, d, q) if d and not drop else None
 
 
 def _walk(
@@ -203,31 +204,24 @@ def _walk(
     that the signed blocks hold each j < count with j != 0 mod d exactly
     once (every j when d = 0).
 
-    j = u L + v is a grid of a row table start step^(u L) = A_u + i B_u and
-    a column table step^v = c_v + i s_v, about sqrt(count) entries each, so
-    a phase is A_u c_v - B_u s_v, both products below q^2, reduced by _fmod.
-    When 0 < d <= sqrt(count), L is a multiple of d and the columns
-    v = 0 mod d are dropped; when d is larger, every j is summed and the
-    count/d phases with d | j come back with sign -1. The grid goes in
-    blocks of about BRUTE_BLOCK terms (at least one row), the last row cut
-    short.
+    Block u holds j = u W + v for the cached column table step^v = c + i s
+    of W <= BRUTE_BLOCK columns. Its row start step^(u W) = A + i B is a
+    pair of ints, advanced by one product with step^W per block, so a phase
+    is A c - B s, both products below q^2, reduced by _fmod. The last block
+    takes the columns v < count - u W. When 0 < d <= W, W is a multiple of
+    d and the columns v = 0 mod d are dropped; when d is larger, every j is
+    summed and the count/d phases with d | j come back with sign -1.
     """
-    L, v, (c, s), row_step, sub = _walk_tables(step, count, q, d)
-    full, rest = divmod(count, L)
-    A, B = _gauss_powers(start, row_step, full + 1, q)
-    K = len(v)
-    rows = max(1, min(full, BRUTE_BLOCK // K))
-    blocks = [(u, min(u + rows, full), K) for u in range(0, full, rows)]
-    short = int(np.searchsorted(v, rest))  # the columns v < rest of row full
-    if short:
-        blocks.append((full, full + 1, short))
-    x, t = np.empty(rows * K), np.empty(rows * K)
-    for u0, u1, k in blocks:
-        xb, tb = (a[: (u1 - u0) * k].reshape(u1 - u0, k) for a in (x, t))
-        np.multiply(A[u0:u1, None], c[:k], out=xb)
-        np.multiply(B[u0:u1, None], s[:k], out=tb)
-        xb -= tb
-        yield 1, _fmod(xb, q, tb).reshape(-1).astype(np.int64)
+    W, v, (c, s), row_step, sub = _walk_tables(step, count, q, d)
+    x, t = np.empty(len(v)), np.empty(len(v))
+    row = start
+    for u in range(0, count, W):
+        k = int(np.searchsorted(v, count - u))
+        np.multiply(row[0], c[:k], out=x[:k])
+        np.multiply(row[1], s[:k], out=t[:k])
+        x[:k] -= t[:k]
+        yield 1, _fmod(x[:k], q, t[:k]).astype(np.int64)
+        row = _gauss_mul(row, row_step, q)
     if sub is not None:
         yield -1, _gauss_powers(start, sub, count // d, q)[0].astype(np.int64)
 
@@ -241,10 +235,10 @@ def _circle_phases(w: Tuple[int, int], m: PrimePowerModulus) -> Iterator[Tuple[i
     exactly when z mod p is not in {1, -1, i, -i}, the subgroup of order 4
     of the cyclic C(p), whose elements are the powers h^j with d | j.
 
-    The walk of _walk: d < p, so it drops the columns d | v except at
-    n = 1, where d may pass sqrt(M/2) and the 2 p^(n-1) phases with d | j
-    are subtracted. p = 3 and 5 have d = 1, so no admissible parameter and
-    no block.
+    The walk of _walk drops the columns d | v unless d > BRUTE_BLOCK, which
+    takes n = 1 (q <= BRUTE_MAX_Q) and p - eps > 2^16; then M/2 = 2d and
+    the 2 phases with d | j are subtracted. p = 3 and 5 have d = 1, so no
+    admissible parameter and no block.
     """
     order = _circle_order_mod_p(m.p)
     if order == 4:
@@ -290,7 +284,7 @@ def residue_class_sum(f: RationalFunction, alpha: int, m: PrimePowerModulus) -> 
     z(alpha) K1 of the kernel K1 of reduction mod p, cyclic of order p^(n-1)
     and generated by g = h^(p - eps) for the generator h of C(q). So the sum
     is that of e_q(Re(w z(alpha) g^i)) over i < p^(n-1), the circle sum's
-    grid walk from w z(alpha) with step g and no dropped column. This holds
+    walk from w z(alpha) with step g and no dropped column. This holds
     for every alpha with 1 + alpha^2 a unit, admissible or not.
     """
     if m.q > BRUTE_MAX_Q:

@@ -145,8 +145,8 @@ def test_residue_class_sum_split_into_blocks_matches_scalar_loop():
 
 
 def test_residue_class_sum_of_one_term_builds_no_table():
-    # at n = 1 a class is one term: the walk holds a one-entry grid and the
-    # root tables of about sqrt(q) entries, no table of all p residues
+    # at n = 1 a class is one term: the walk holds a one-column table and
+    # the root tables of about sqrt(q) entries, no table of all p residues
     m = PrimePowerModulus(9999991, 1)
     f = phase_function(3, 4, 1)
     tracemalloc.start()
@@ -216,21 +216,25 @@ def test_residue_class_sum_refuses_other_phases(f):
 
 def test_walk_tables_are_cached_read_only():
     # the step and the column table are built once per walk and shared by
-    # every later call, so no caller may write to them
-    m = PrimePowerModulus(7, 4)
+    # every later call, so no caller may write to them; a table holds at
+    # most BRUTE_BLOCK columns, which bounds the cache of 64 walks. At 7^6
+    # both walks are longer than BRUTE_BLOCK
     f = phase_function(3, 4, 1)
-    residue_class_sum(f, 2, m)
-    circle_exponential_sum(ExpSumSpec(3, 4, 1, m), "bruteforce")
-    h = expsums._circle_generator(7, 4)
-    g = expsums._gauss_pow(h, 8, m.q)
-    for args in [(g, 343, m.q, 0), (h, 1372, m.q, 2)]:
-        hits = expsums._walk_tables.cache_info().hits
-        L, v, cs, _, _ = expsums._walk_tables(*args)
-        assert expsums._walk_tables.cache_info().hits == hits + 1
-        for a in (v, cs):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[..., 0] = 1
+    for n in (4, 6):
+        m = PrimePowerModulus(7, n)
+        residue_class_sum(f, 2, m)
+        circle_exponential_sum(ExpSumSpec(3, 4, 1, m), "bruteforce")
+        h = expsums._circle_generator(7, n)
+        g = expsums._gauss_pow(h, 8, m.q)
+        for args in [(g, m.q // 7, m.q, 0), (h, 4 * m.q // 7, m.q, 2)]:
+            hits = expsums._walk_tables.cache_info().hits
+            W, v, cs, _, _ = expsums._walk_tables(*args)
+            assert expsums._walk_tables.cache_info().hits == hits + 1
+            assert len(v) == cs.shape[1] <= W <= BRUTE_BLOCK
+            for a in (v, cs):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[..., 0] = 1
 
 
 def test_residue_class_sum_gates():
@@ -554,13 +558,12 @@ def _circle_order(p, n):
 
 
 def test_circle_bruteforce_blocks_of_short_classes():
-    # the brute force walks the grid j = u L + v in blocks of whole rows,
-    # about BRUTE_BLOCK terms each. At 521^2, J = M/2 = 135460, d = 130 and
-    # L = 260: 521 rows of 258 kept columns, 63 rows to a block, so eight
-    # full blocks and a short one. At 7^4, J = 1372, d = 2 and L = 36: 38
-    # rows of 18 kept columns in one block, then the kept columns v < 4 of
-    # the cut row 38
-    for (p, n), sizes in [((521, 2), [63 * 258] * 8 + [17 * 258]), ((7, 4), [38 * 18, 2])]:
+    # the brute force walks j = u W + v in blocks of the W columns v of one
+    # table, W = min(J, BRUTE_BLOCK) lowered to a multiple of d. At 521^2,
+    # J = M/2 = 135460, d = 130 and W = 16380: eight blocks of 16254 kept
+    # columns, then the kept columns v < 4420 of the last block. At 7^4,
+    # J = 1372, d = 2 and W = 1372: one block of 686 kept columns
+    for (p, n), sizes in [((521, 2), [16254] * 8 + [4386]), ((7, 4), [686])]:
         m = PrimePowerModulus(p, n)
         blocks = [(sign, len(z)) for sign, z in expsums._circle_phases((1, 0), m)]
         assert blocks == [(1, size) for size in sizes]
@@ -585,16 +588,18 @@ def _enumerated_points(m):
     return net
 
 
-@pytest.mark.parametrize("p", [7, 13, 3137])
+@pytest.mark.parametrize("p", [7, 13, 3137, 65539])
 def test_circle_bruteforce_admissible_classes(p):
     # the points the brute force sums, with their negatives and net of the
     # blocks it subtracts, map back by t = y2 (1 + y1)^-1 onto every
-    # admissible t exactly once. 7 drops the columns d | v at every n; 13
-    # and 3137 at n = 1 have d > sqrt(M/2) and subtract the points d | j
+    # admissible t exactly once. 7, 13 and 3137 drop the columns d | v; at
+    # n = 1, 65539 has d = 16385 > BRUTE_BLOCK and subtracts the points d | j
     for n in range(1, 4):
-        m = PrimePowerModulus(p, n)
-        if m.q > 5000:
+        if n > 1 and p**n > 5000:
             break
+        m = PrimePowerModulus(p, n)
+        signs = {sign for sign, _ in expsums._circle_phases((1, 0), m)}
+        assert signs == ({1, -1} if p == 65539 else {1})
         net = _enumerated_points(m)
         assert all((y1 * y1 + y2 * y2 - 1) % m.q == 0 for y1, y2 in net)
         assert set(net.values()) <= {0, 1}
