@@ -24,8 +24,7 @@ def excluded_param_count(p: int) -> int:
     Excluded are t = 0, t = +-1 and the roots of t^2 = -1, so the count
     is 3 when p = 3 mod 4 and 5 when p = 1 mod 4.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p = {p} must be an odd prime")
+    PrimePowerModulus(p, 1)  # refuses p that is not an odd prime
     return 3 if p % 4 == 3 else 5
 
 

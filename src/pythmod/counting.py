@@ -15,9 +15,9 @@ counts without the triples: a hyperbola split at u ~ N^(2/3), Moebius
 inversion over odd squarefree d for the coprimality, and int64 row sums,
 O(N^(2/3) log N); the walk is its oracle.  predict_dual_terms evaluates the
 smoothed count a third way, as an exact Poisson expansion over closed-form
-Gauss sums with one DFT per p-adic level, and splits it into the main term
-and the dual terms.  Each level is indexed by c = (4u)^-1, which runs over
-the units in ascending order, so it needs no inverse and no table of units.
+Gauss sums, split into the main and the dual terms: each p-adic level is
+one DFT over the unit frequencies, since the non-unit x cancel the others,
+read at c = (4u)^-1 for the ascending units, with no inverse taken.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ PAIR_BLOCK = 2**16  # class pairs per block of _square_triples
 WALK_BLOCK = 2**15  # Euclid pairs per block of count_equation_box
 SPLIT_MIN = 2**12  # the least split u of count_pythagorean; one table is cheaper below it
 DUAL_MAX_L = 10**4
-DUAL_MAX_ENTRIES = 10**7  # q + K + 1 entries on the dual side; traced peak 52-66 B per entry of q
+DUAL_MAX_ENTRIES = 10**7  # q + K + 1 entries on the dual side; traced peak 40-57 B per entry of q
 DUAL_TOL = 1e-16  # dual frequencies with fourier(k N / q) below this are dropped
 CUTOFF = 3.5  # the box is |x| <= CUTOFF*s*N; the weight there is exp(-pi*3.5^2) < 2e-17
 
@@ -109,22 +109,6 @@ class DualTerms(NamedTuple):
     T1: float  # every other dual frequency
 
 
-def _complete_sums(p: int, mm: int, j: int, c: np.ndarray, chi: np.ndarray, coef: np.ndarray):
-    """Sum over k >= 0 of coef[k] times the sum of e((p^j u x^2 + k x) / p^mm)
-    over all x mod p^mm, for each unit u of a level, given c = (4u)^-1 and
-    chi = (u/p).  Only k = p^j k' contribute; with q' = p^(mm-j) each is
-    p^j * G(q') * (u/q') * e_q'(-c k'^2), G the quadratic Gauss sum.
-    Bucketing coef[p^j k'] by k'^2 mod q' makes the sum over k' one DFT
-    of length q', read at c mod q'."""
-    if j >= mm:
-        return p**mm * coef[:: p**mm].sum()
-    q2 = p ** (mm - j)
-    kk = np.arange(len(coef[:: p**j]), dtype=np.int64) % q2
-    buckets = np.bincount(kk * kk % q2, weights=coef[:: p**j], minlength=q2)
-    symbol = chi if (mm - j) % 2 else 1
-    return p**j * gauss_sum_closed(q2) * symbol * np.fft.fft(buckets)[c % q2]
-
-
 def _dual_levels(m: PrimePowerModulus, coef: np.ndarray) -> Iterator[np.ndarray]:
     """s(a) = sum over k >= 0 of coef[k] * g(a, k), level by level in the
     p-adic order j of a = p^j u: s(0) first, as one entry, then for each
@@ -132,21 +116,31 @@ def _dual_levels(m: PrimePowerModulus, coef: np.ndarray) -> Iterator[np.ndarray]
     [1, p^(n-j)), ascending.  The order of a within a level is free: the
     dual side only sums over a.
 
-    Each value is the complete sum over all x mod q minus the sum over the
-    non-units x = p y, y mod p^(n-1).  At a = 0 both are scalars and
-    g(0, k) is the Ramanujan sum.  s(p^j u) depends on u only through
+    g(a, k) sums over all x mod q, minus the non-units x = p y.  With
+    q' = p^(n-j) the first is zero unless k = p^j k', and then
+    p^j G(q') (u/q') e_q'(-c k'^2), G the quadratic Gauss sum.  For
+    j <= n - 2 the second is that same term when p | k' (G(q') = p G(q'/p^2))
+    and zero otherwise, so a level is one DFT of length q' of coef[p^j k']
+    over the unit k', bucketed by k'^2 mod q' and read at c.  The last
+    level buckets every k' and subtracts p^(n-1) * sum of coef[p^(n-1) k'];
+    s(0) is the Ramanujan sum.  s(p^j u) depends on u only through
     c = (4u)^-1 and (u/p) = (c/p), 4 being a square: no inverse is taken.
     """
     p, n = m.p, m.n
-    s0 = _complete_sums(p, n, n, None, None, coef)
-    yield np.array([s0 - _complete_sums(p, n - 1, n + 1, None, None, coef)])
+    top = p ** (n - 1) * coef[:: p ** (n - 1)].sum()  # non-units' sum at a = 0 and j = n - 1
+    yield np.array([p**n * coef[:: p**n].sum() - top])
     symbol = np.full(p, -1, dtype=np.int8)
     symbol[np.arange(p) ** 2 % p] = 1  # (r/p) at the units r
     for j in range(n):
         qj = p ** (n - j)
-        c = (np.arange(0, qj, p)[:, None] + np.arange(1, p)).ravel()
-        chi = np.tile(symbol[1:], qj // p)
-        yield _complete_sums(p, n, j, c, chi, coef) - _complete_sums(p, n - 1, j + 1, c, chi, coef)
+        w = coef[:: p**j].copy()
+        if j < n - 1:
+            w[::p] = 0  # the non-units x = p y cancel the frequencies p | k'
+        k2 = np.arange(len(w)) ** 2 % qj  # exact: len(w) <= DUAL_MAX_ENTRIES
+        scale = p**j * gauss_sum_closed(qj) * symbol[1:] ** (n - j)  # (u/q') = (c/p)^(n-j)
+        # the units c of [1, qj), ascending, are the columns 1..p-1 of the rows of p
+        s = np.fft.fft(np.bincount(k2, weights=w, minlength=qj)).reshape(-1, p)[:, 1:] * scale
+        yield (s - top if j == n - 1 else s).ravel()
 
 
 def _cube_sum(s: np.ndarray) -> float:
@@ -171,8 +165,8 @@ def predict_dual_terms(cfg: CountConfig) -> DualTerms:
     modelled: the weight is summed over all of Z. The frequencies stop at
     |k| <= K = ceil(R q / N), with R the radius beyond which fourier
     drops below DUAL_TOL. The cube sum is taken one p-adic level of a at
-    a time (_dual_levels); each level costs one DFT and one pass over
-    the frequencies: O(q log q + K) in all. Raises TooLarge, before any
+    a time (_dual_levels), each one bucketing of the frequencies and one
+    DFT: n DFTs and O(q log q + K) in all. Raises TooLarge, before any
     allocation, when q + K + 1 exceeds DUAL_MAX_ENTRIES.
     """
     m, N, w = cfg.modulus, cfg.N, cfg.weight
@@ -316,9 +310,9 @@ def count_equation_box(N: int, coprime_to: Optional[int] = None) -> int:
     rows = max(1, WALK_BLOCK // int(k.max(initial=1)))  # the first row is the longest
     total = 0
     for i in range(0, len(n), rows):
-        kk = k[i : i + rows]
-        nn = np.repeat(n[i : i + rows], kk)
-        m = nn + 1 + 2 * (np.arange(len(nn)) - np.repeat(np.cumsum(kk) - kk, kk))
+        r, v = _segment_rows(k[i : i + rows])
+        nn = r + (i + 1)  # n[i + r], as n[i] = i + 1
+        m = nn + 1 + 2 * v
         keep = np.gcd(m, nn) == 1
         m, nn = m[keep], nn[keep]
         c = m * m + nn * nn

@@ -38,6 +38,7 @@ from .padic import (
     _sqrt_mod_prime,
     eval_rational_mod,
     inv_mod,
+    is_prime,
     jacobi_symbol,
     sqrt_mod,
 )
@@ -417,6 +418,8 @@ def stationary_points(l1: int, l2: int, p: int) -> StationaryPoints:
     Two simple roots when D = l1^2 + l2^2 is a unit square mod p, none
     when D is a non-residue, and one double root (flagged) when p | D.
     """
+    if p % 2 == 0 or not is_prime(p):  # mod 9 Tonelli-Shanks finds no non-residue
+        raise ValueError(f"p = {p} is not an odd prime")
     if (l1 * l2) % p == 0:
         raise UnitRequired(f"l1*l2 = {l1 * l2} not a unit mod {p}")
     D = l1 * l1 + l2 * l2
@@ -519,10 +522,11 @@ def curvature_symbol_sqrt_form(spec: ExpSumSpec, branch: int) -> int:
 
 def gauss_factor(levels: int, x3: int, D: int, p: int) -> complex:
     """Unimodular factor: 1 for even levels, (2*x3*sqrt(D)/p) * G_p/sqrt(p) for odd."""
-    if levels < 1:
-        raise ValueError(f"levels = {levels} must be positive")
+    PrimePowerModulus(p, levels)  # refused at every level as by gauss_factor_unified
     if (x3 * D) % p == 0:
         raise UnitRequired(f"x3*D = {x3 * D} not a unit mod {p}")
+    if jacobi_symbol(D, p) != 1:
+        raise NotResidue(f"{D} is not a quadratic residue mod {p}")
     if levels % 2 == 0:
         return 1.0 + 0j
     rho = _level_root(D, p, levels)[1]
@@ -531,8 +535,6 @@ def gauss_factor(levels: int, x3: int, D: int, p: int) -> complex:
 
 def gauss_factor_unified(levels: int, x3: int, D: int, p: int) -> complex:
     """Same factor as G_{p^levels}/p^(levels/2) * (2*x3*sqrt(D) / p^levels)."""
-    if levels < 1:
-        raise ValueError(f"levels = {levels} must be positive")
     if (x3 * D) % p == 0:
         raise UnitRequired(f"x3*D = {x3 * D} not a unit mod {p}")
     q, rho = _level_root(D, p, levels)
@@ -585,8 +587,7 @@ def lattice_circle_weight(D: int, levels: int, N: float, w, p: int) -> complex:
     """
     if D < 1:
         raise ValueError(f"D = {D} must be positive")
-    if levels < 1:
-        raise ValueError(f"levels = {levels} must be positive")
+    PrimePowerModulus(p, levels)  # levels >= 1, p an odd prime, p^levels <= 2^31
     if not (math.isfinite(N) and N >= 1):
         raise ValueError(f"N = {N} must be finite and at least 1")
     R = _box_radius(math.isqrt(D), "lattice circle")  # before the O(sqrt(D)) pass

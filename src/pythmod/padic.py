@@ -17,11 +17,11 @@ from .errors import DenominatorNotUnit, NotInvertible, UnitRequired
 
 MAX_Q = 2**31
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n < 3317044064679887385961981."""
     if n < 2:
         return False
     for b in _MR_BASES:

@@ -151,7 +151,7 @@ def test_dual_terms_gate():
 
 def test_dual_terms_memory_bound():
     # one level at a time, indexed by c = (4u)^-1: no q-length array of s(a)
-    # and no table of units.  The traced peak is about 52 bytes per entry of q
+    # and no table of units.  The traced peak is about 41 bytes per entry of q
     c = cfg(7, 6, 3545)
     tracemalloc.start()
     try:
@@ -243,17 +243,30 @@ def test_bucket_kernel_matches_two_transform_oracle(p, n, N, scale):
     assert count_smoothed(c).measured_T == pytest.approx(_two_transform_oracle(c), rel=1e-12)
 
 
-def test_count_smoothed_takes_one_forward_fft(monkeypatch):
+def _record_transforms(monkeypatch):
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         real = getattr(np.fft, name)
         monkeypatch.setattr(
             np.fft, name, lambda *a, _f=real, _n=name, **k: calls.append(_n) or _f(*a, **k)
         )
+    return calls
+
+
+def test_count_smoothed_takes_one_forward_fft(monkeypatch):
+    calls = _record_transforms(monkeypatch)
     c = cfg(7, 6, 3545)
     first = count_smoothed(c).measured_T
     assert calls == ["rfft"]
     assert count_smoothed(c).measured_T == first  # reruns are bit-identical
+
+
+def test_dual_terms_take_one_fft_per_level(monkeypatch):
+    # the non-units x = p y cancel the frequencies p | k' of every level but
+    # the last, so each of the n levels is one DFT of its unit frequencies
+    calls = _record_transforms(monkeypatch)
+    predict_dual_terms(cfg(7, 6, 3545))
+    assert calls == ["fft"] * 6
 
 
 def test_smoothed_sums_take_no_blas_dot(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pythmod.circle import (
     enumerate_admissible_t,
+    excluded_param_count,
     inverse_param,
 )
 from pythmod.errors import (
@@ -481,6 +482,31 @@ def test_gauss_factor_gates():
         gauss_factor_unified(2, 7, 25, 7)
     with pytest.raises(ValueError):
         gauss_factor_unified(0, 1, 25, 7)
+
+
+@pytest.mark.parametrize(
+    "fn,args,error",
+    [
+        # no z has (z/9) = -1, so Tonelli-Shanks would search for one forever
+        (stationary_points, (1, 2, 9), ValueError),
+        (stationary_points, (1, 3, 21), ValueError),  # 3 has no inverse mod 21
+        (stationary_points, (1, 3, 2), ValueError),
+        (excluded_param_count, (9,), ValueError),
+        (excluded_param_count, (1,), ValueError),
+        # even levels take no square root, yet refuse what odd levels refuse
+        (gauss_factor, (2, 1, 3, 7), NotResidue),
+        (gauss_factor, (2, 1, 1, 9), ValueError),
+        (gauss_factor, (40, 1, 2, 7), ValueError),  # 7^40 > 2^31
+        (gauss_factor_unified, (2, 1, 3, 7), NotResidue),
+        (gauss_factor_unified, (2, 1, 1, 9), ValueError),
+        (gauss_factor_unified, (40, 1, 2, 7), ValueError),
+        (lattice_circle_weight, (3, 2, 10.0, gaussian(1.0), 9), ValueError),  # (3/9) = 0
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_raw_p_must_be_an_odd_prime(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])

@@ -42,17 +42,24 @@ def test_is_prime_small():
 
 
 def test_is_prime_matches_sieve():
-    limit = 10**6
+    limit = 10**5
     sieve = np.ones(limit, dtype=bool)
     sieve[:2] = False
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = False
     assert [n for n in range(limit) if is_prime(n)] == np.flatnonzero(sieve).tolist()
-    # 151 * 751 * 28351 has no factor <= 37 and is a strong pseudoprime to
-    # the bases 2, 3, 5 and 7: a later base must reach the composite exit
+    # the least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7, 9 and
+    # 12 prime bases (2047 = 23 * 89 is caught by trial division; the others
+    # have no factor <= 41): a later base must reach the composite exit, and
+    # the last passes every base up to 37
     assert 3215031751 == 151 * 751 * 28351
-    assert not is_prime(3215031751)
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (2**31 - 1, 9999991, 65539):
+        assert is_prime(n), n
 
 
 def test_inv_mod_examples():
