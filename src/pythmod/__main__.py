@@ -1,0 +1,7 @@
+"""`python -m pythmod ...` runs the command line of pythmod.cli."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

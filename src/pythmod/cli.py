@@ -1,7 +1,10 @@
 """Command-line surface: reproducible runs with machine-readable output.
 
 Every run prints one JSON object {"manifest": ..., "result": ...} on
-stdout; sweep runs additionally write an RFC-4180 CSV.  Exit codes:
+stdout, as one compact line with sorted keys; sweep runs additionally
+write an RFC-4180 CSV.  A run that names a subcommand is parsed once, by
+that subcommand's parser; the root parser sees only --version, --help,
+an empty argv and unknown commands.  Exit codes:
 0 success, 2 usage or precondition violation, 3 tolerance failure
 (oracle disagreement between evaluation routes).
 """
@@ -16,7 +19,7 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from . import __version__
 from .circle import enumerate_admissible_t, enumerate_circle_solutions, param_point
@@ -79,7 +82,7 @@ def _manifest(subcommand: str, params: dict, out: Optional[str], t0: float) -> d
 
 def _emit(subcommand: str, params: dict, result: dict, out: Optional[str], t0: float) -> None:
     record = {"manifest": _manifest(subcommand, params, out, t0), "result": result}
-    text = json.dumps(record, sort_keys=True, indent=2)
+    text = json.dumps(record, sort_keys=True)  # no indent: json's C encoder
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -156,8 +159,7 @@ def cmd_scan(args, t0: float) -> int:
             writer.writerows(rows)
         sidecar = out + ".manifest.json"
         with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(_manifest("scan", vars(args), out, t0), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(_manifest("scan", vars(args), out, t0), sort_keys=True) + "\n")
     _emit("scan", vars(args), {"rows": rows, "csv_columns": SWEEP_COLUMNS}, None, t0)
     return 0
 
@@ -261,8 +263,9 @@ def cmd_transition(args, t0: float) -> int:
     return 0 if res.equal else 3
 
 
-@functools.cache  # one parser per process; --out resolves on each parse
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one set of parsers per process; --out resolves on each parse
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """(the root parser, the subcommand parsers by name)."""
     parser = argparse.ArgumentParser(
         prog="pythmod",
         description="Count and cross-check solutions of x1^2 + x2^2 = x3^2 mod p^n",
@@ -348,13 +351,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(func=cmd_transition)
 
-    return parser
+    return parser, dict(sub.choices)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        sub = commands.get(argv[0]) if argv else None
+        if sub is None:  # --version, --help, no subcommand or an unknown one
+            args = parser.parse_args(argv)
+        else:  # one parse, where the root parser would hand argv[1:] on to sub
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.subcommand = argv[0]
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()

@@ -189,13 +189,19 @@ def _unit_box(p: int, bound: int) -> np.ndarray:
     return xs[xs % p != 0]
 
 
+def _positive_units(p: int, bound: int) -> np.ndarray:
+    """The x in [1, bound] with p not dividing x, int64, without a modulo."""
+    keep = np.ones(bound + 1, dtype=bool)
+    keep[::p] = False  # 0 too
+    return np.flatnonzero(keep)
+
+
 def _smoothed_bucket(cfg: CountConfig) -> float:
     m = cfg.modulus
     q = m.q
     if q > BUCKET_MAX_Q:
         raise TooLarge(f"q = {q} above the bucket-table bound {BUCKET_MAX_Q}")
-    xs = np.arange(1, _box_radius(cfg.cutoff * cfg.N) + 1, dtype=np.int64)
-    xs = xs[xs % m.p != 0]
+    xs = _positive_units(m.p, _box_radius(cfg.cutoff * cfg.N))
     # S[c] = total weight of the box units x with x^2 = c mod q; -x counts as x
     S = np.bincount(xs * xs % q, weights=2 * cfg.weight.value(xs / cfg.N), minlength=q)
     # T = sum over (c1, c2) of S[c1] S[c2] S[c1 + c2 mod q] = (1/q) sum over a mod q

@@ -102,12 +102,15 @@ def _fmod(a: np.ndarray, q: int, t: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=64)
 def _root_tables(q: int) -> Tuple[int, np.ndarray, np.ndarray]:
     """(s, hi, lo) with e_q(z) = hi[z >> s] * lo[z & (2^s - 1)] for 0 <= z < q,
-    s = ceil(bitlen(q) / 2): about sqrt(q) entries each, one np.exp each."""
+    s = ceil(bitlen(q) / 2): about sqrt(q) entries each, one np.exp each.
+    Cached per q, read-only: under 90 KB for q <= 7^8."""
     s = (q.bit_length() + 1) // 2
     lo = np.exp(TWO_PI * 1j / q * np.arange(1 << s))
     hi = np.exp(TWO_PI * 1j / q * (np.arange(((q - 1) >> s) + 1) << s))
+    hi.flags.writeable = lo.flags.writeable = False
     return s, hi, lo
 
 
@@ -420,6 +423,11 @@ def stationary_points(l1: int, l2: int, p: int) -> StationaryPoints:
     """
     if p % 2 == 0 or not is_prime(p):  # mod 9 Tonelli-Shanks finds no non-residue
         raise ValueError(f"p = {p} is not an odd prime")
+    return _stationary_points(l1, l2, p)
+
+
+def _stationary_points(l1: int, l2: int, p: int) -> StationaryPoints:
+    """stationary_points for a p already known to be an odd prime."""
     if (l1 * l2) % p == 0:
         raise UnitRequired(f"l1*l2 = {l1 * l2} not a unit mod {p}")
     D = l1 * l1 + l2 * l2
@@ -522,14 +530,14 @@ def curvature_symbol_sqrt_form(spec: ExpSumSpec, branch: int) -> int:
 
 def gauss_factor(levels: int, x3: int, D: int, p: int) -> complex:
     """Unimodular factor: 1 for even levels, (2*x3*sqrt(D)/p) * G_p/sqrt(p) for odd."""
-    PrimePowerModulus(p, levels)  # refused at every level as by gauss_factor_unified
+    sub = PrimePowerModulus(p, levels)  # refused at every level as by gauss_factor_unified
     if (x3 * D) % p == 0:
         raise UnitRequired(f"x3*D = {x3 * D} not a unit mod {p}")
     if jacobi_symbol(D, p) != 1:
         raise NotResidue(f"{D} is not a quadratic residue mod {p}")
     if levels % 2 == 0:
         return 1.0 + 0j
-    rho = _level_root(D, p, levels)[1]
+    rho = canonical_sqrt(D % sub.q, sub)
     return jacobi_symbol(2 * x3 * rho, p) * _prime_gauss_unit(p)
 
 
@@ -565,7 +573,7 @@ def circle_exponential_sum(spec: ExpSumSpec, mode: str = "bruteforce") -> comple
             raise HypothesisViolated(f"r = {spec.r} > n - 2 = {m.n - 2}: closed form unavailable")
         if (spec.l1 * spec.l2) % m.p == 0:
             return 0j  # the stationary congruence forces t = 0 or +-1 mod p
-        pts = stationary_points(spec.l1, spec.l2, m.p)
+        pts = _stationary_points(spec.l1, spec.l2, m.p)  # m has checked p
         f, total = spec.phase(), 0j
         for root in pts.roots:
             if not is_admissible_param(root, m):

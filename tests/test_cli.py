@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from importlib import resources
@@ -25,6 +28,7 @@ def schema():
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
+    assert out == "" or (out.count("\n") == 1 and out.endswith("\n"))  # one JSON line
     record = json.loads(out) if out.strip() else None
     return code, record
 
@@ -285,7 +289,9 @@ def test_scan_csv(capsys, schema, tmp_path):
     # N = ceil(q^0.7) per row
     assert int(float(rows[1][3])) == math_ceil_pow(7, 1, 0.7)
     assert int(float(rows[3][3])) == math_ceil_pow(7, 3, 0.7)
-    sidecar = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    text = (tmp_path / "sweep.csv.manifest.json").read_text()
+    assert text.count("\n") == 1
+    sidecar = json.loads(text)
     assert sidecar["subcommand"] == "scan"
     assert sidecar["params"]["p"] == 7
 
@@ -447,3 +453,92 @@ def test_readme_command_line_examples(capsys, tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+# one op of each CLI kind that perfbench runs
+PERFBENCH_OPS = [
+    ["count", "--p", "7", "--n", "4", "--N", "300"],
+    ["scan", "--p", "7", "--n", "4..5", "--nu", "0.7", "--out", "scan.csv"],
+    ["transition", "--p", "13", "--n", "4", "--N", "100"],
+    ["triples", "--N", "10000"],
+    ["expsum", "--p", "7", "--n", "5", "--k1", "3", "--k2", "4", "--x3", "1",
+     "--mode", "both", "--alpha", "2"],
+    ["expsum", "--p", "7", "--n", "5", "--k1", "3", "--k2", "4", "--x3", "1", "--mode", "both"],
+]
+
+
+def without_seconds(obj):
+    if isinstance(obj, dict):
+        return {k: without_seconds(v) for k, v in obj.items() if k != "seconds"}
+    if isinstance(obj, list):
+        return [without_seconds(v) for v in obj]
+    return obj
+
+
+def test_one_parse_gives_the_root_parsers_record(capsys, tmp_path, monkeypatch):
+    # main parses argv[1:] with the subcommand's own parser; the root parser's
+    # full parse of the same argv must give the same namespace and record
+    monkeypatch.setenv("PYTHMOD_OUT_DIR", str(tmp_path))
+    root, _ = cli.build_parser()
+    for argv in readme_commands() + PERFBENCH_OPS:
+        args = root.parse_args(argv)
+        assert args.func(args, time.perf_counter()) == 0, argv
+        want = capsys.readouterr().out
+        assert main(argv) == 0, argv
+        got = capsys.readouterr().out
+        assert got.count("\n") == 1 and got.endswith("\n"), argv
+        assert without_seconds(json.loads(got)) == without_seconds(json.loads(want)), argv
+
+
+@pytest.mark.parametrize(
+    "argv,code", [([], 2), (["nosuch"], 2), (["--version"], 0), (["count", "--help"], 0)]
+)
+def test_arguments_without_a_run_exit_as_before(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.splitlines()[-1].startswith("pythmod: error: ")
+
+
+def test_unrecognized_arguments_are_the_root_parsers_error(capsys):
+    assert main(["count", "--p", "7", "--n", "4", "--N", "300", "--bogus", "z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "pythmod: error: unrecognized arguments: --bogus z"
+    assert main(["count", "--p", "x", "--n", "4", "--N", "300"]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "pythmod count: error: argument --p: invalid int value: 'x'"
+
+
+def test_known_subcommand_skips_the_root_parse(capsys, monkeypatch):
+    root, _ = cli.build_parser()
+    calls = []
+    real = root.parse_args
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(root, "parse_args", recorded)
+    for argv in readme_commands()[2:4] + PERFBENCH_OPS[:1]:
+        main(argv)
+    assert calls == []
+    assert main(["--version"]) == 0 and len(calls) == 1
+    capsys.readouterr()
+
+
+def test_python_m_pythmod_prints_one_record_line(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("PYTHMOD_OUT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pythmod", "count", "--p", "7", "--n", "5", "--N", "912"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    record = json.loads(line)
+    assert record["manifest"]["subcommand"] == "count"
+    assert record["result"]["q"] == 7**5 and record["result"]["ratio"] == pytest.approx(1.0)
+

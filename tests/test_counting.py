@@ -19,6 +19,7 @@ from pythmod.counting import (
     _cube_sum,
     _dual_levels,
     _hyperbola_split,
+    _positive_units,
     _smoothed_triple_loop,
     count_box_exact,
     count_equation_box,
@@ -679,3 +680,12 @@ def test_dual_triple_count_gate():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # a class table mod 2 * 10^8 would be 800 MB
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_positive_units_match_the_modulo_filter(p):
+    for bound in (0, 1, p - 1, p, 5000):
+        xs = np.arange(1, bound + 1, dtype=np.int64)
+        got = _positive_units(p, bound)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, xs[xs % p != 0])

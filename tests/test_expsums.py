@@ -564,6 +564,45 @@ def test_root_tables_match_exp(q):
     assert np.abs(got - np.exp(2j * np.pi * z / q)).max() <= 4e-15
 
 
+def test_root_tables_are_cached_read_only():
+    # every circle and class sum at q shares one pair of tables
+    first = _root_tables(7**5)
+    again = _root_tables(7**5)
+    assert all(a is b for a, b in zip(first, again))
+    for table in first[1:]:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_closed_route_trusts_the_checked_modulus(monkeypatch):
+    # the spec's PrimePowerModulus has checked p, so the closed circle sum runs
+    # no primality test; the public stationary_points still refuses a bad p
+    spec = ExpSumSpec(3, 4, 1, M7_4)
+    want = circle_exponential_sum(spec, "closed")
+
+    def refuse(p):
+        raise AssertionError("is_prime ran again")
+
+    monkeypatch.setattr(expsums, "is_prime", refuse)
+    assert circle_exponential_sum(spec, "closed") == want
+    with pytest.raises(AssertionError):
+        stationary_points(3, 4, 7)
+
+
+def test_gauss_factor_builds_its_level_modulus_once(monkeypatch):
+    built = []
+
+    def counted(p, n):
+        built.append((p, n))
+        return PrimePowerModulus(p, n)
+
+    want = gauss_factor(3, 2, 2, 7)
+    monkeypatch.setattr(expsums, "PrimePowerModulus", counted)
+    assert gauss_factor(3, 2, 2, 7) == want
+    assert built == [(7, 3)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.sampled_from([5, 7, 11, 13]),
